@@ -30,10 +30,9 @@ from .errors import (
 from .diffalg import (
     DiffPoly,
     DiffRatFunc,
-    RatFunc,
     dense_to_diffpoly,
     substitute_cleared,
-    univar_dense,
+    to_unipoly,
 )
 from .exactfield import UniPoly, extract_linear_roots, poly_gcd
 
@@ -478,12 +477,6 @@ class PresentationCertificate:
         return f"{r}/{s}"
 
 
-def _to_unipoly(p, name):
-    dense = univar_dense(p, name) if p.variables else [p.constant_coefficient()]
-    field = p.base.field
-    return UniPoly(field, dense)
-
-
 def _from_unipoly(base, variables, name, u):
     return dense_to_diffpoly(base, variables, name, list(u.coeffs))
 
@@ -493,17 +486,21 @@ def search_presentation(f, candidates=(), degree_bound=3):
 
     Candidates h = R/S come from a fixed catalog built on the visible
     zeros and poles of f (plus 0 and 1) together with user-supplied
-    (R, S) pairs.  This is a semi-decision: no bound on chain length
-    exists, so an empty result is *not* a refutation.  Every returned
-    certificate has already passed ``verify_forward``.
+    (R, S) pairs.  A candidate is accepted only when its rule
+    P = f(h) S^2 / W is a polynomial: with f(h) S^2 = N/D in lowest
+    terms (``substitute_cleared``) and W = R'S - RS', that is when D*W
+    divides N exactly, and P is the quotient.  This is a semi-decision:
+    no bound on chain length exists, so an empty result is *not* a
+    refutation.  Every returned certificate has already passed
+    ``verify_forward``.
     """
     f = f if isinstance(f, DiffRatFunc) else DiffRatFunc.from_poly(f)
     base = f.base
     if base.var is not None:
         raise NonConstantBase("the presentation search needs a constant base field")
     name = _univar_name(f) or (f.variables[0] if f.variables else "y")
-    A = _to_unipoly(f.num, name)
-    B = _to_unipoly(f.den, name)
+    A = to_unipoly(f.num, name)
+    B = to_unipoly(f.den, name)
     field = A.field
 
     points = {_as_field_scalar(0, field), _as_field_scalar(1, field)}
@@ -547,14 +544,27 @@ def search_presentation(f, candidates=(), degree_bound=3):
         w = r.derivative() * s - r * s.derivative()
         if w.is_zero():
             continue  # h constant: not a presentation
-        quot = substitute_cleared(A, B, r, s, d=2) / RatFunc(w, UniPoly.const(1, field))
-        if not quot.is_polynomial():
+        p = _presentation_rule(A, B, r, s, w)
+        if p is None:
             continue
-        p = quot.num * quot.den.constant_value().inverse()
         cert = _build_certificate(base, r, s, p, f, name)
         if cert is not None:
             return cert
     return None
+
+
+def _presentation_rule(A, B, r, s, w):
+    """The rule P = f(R/S) S^2 / W for f = A/B, or None when it is not a polynomial.
+
+    f(R/S) S^2 = N/D in lowest terms, so P is a polynomial exactly when
+    D*W divides N; the degrees rule most candidates out before dividing.
+    """
+    cleared = substitute_cleared(A, B, r, s, d=2)
+    num, den = cleared.num, cleared.den
+    if not num.is_zero() and num.degree < den.degree + w.degree:
+        return None
+    p, rem = divmod(num, den * w)
+    return p if rem.is_zero() else None
 
 
 def _as_field_scalar(v, field):

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import PfaffkitError
-from .exactfield import UniPoly
-from .diffalg import univar_dense
+from .diffalg import to_unipoly
 from .chains import (
     rational_to_noetherian,
     search_presentation,
@@ -356,10 +356,7 @@ def _parse_candidates(args, spec):
             t = stream.peek()
             raise ParseError(f"trailing {describe(t)}", t.line, t.col)
         h = eval_ratfunc(node, ctx)
-        field = spec.base.field
-        r = UniPoly(field, univar_dense(h.num, "x"))
-        s = UniPoly(field, univar_dense(h.den, "x"))
-        out.append((r, s))
+        out.append((to_unipoly(h.num, "x"), to_unipoly(h.den, "x")))
     return out
 
 
@@ -467,7 +464,14 @@ def main(argv=None):
     if doc is None:
         return code
     pretty = doc.pop("_pretty", False)
-    print(json.dumps(doc, indent=2 if pretty else None))
+    try:
+        print(json.dumps(doc, indent=2 if pretty else None))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so that the flush
+        # at interpreter exit does not raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
     return code
 
 

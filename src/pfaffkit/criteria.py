@@ -33,7 +33,7 @@ from .diffalg import (
     DiffPoly,
     DiffRatFunc,
     riccati_reduce,
-    univar_dense,
+    to_unipoly,
 )
 from .chains import (
     NoetherianSystem,
@@ -327,8 +327,8 @@ def extract_factored(f):
     extraction unavailable (callers then supply factored input).
     """
     name = _main_var(f)
-    A = _to_unipoly(f.num, name)
-    B = _to_unipoly(f.den, name)
+    A = to_unipoly(f.num, name)
+    B = to_unipoly(f.den, name)
     if A.is_zero() or B.is_zero():
         return None
     roots_a, rem_a = extract_linear_roots(A)
@@ -353,12 +353,6 @@ def _main_var(f):
     return f.variables[0] if f.variables else "y"
 
 
-def _to_unipoly(p, name):
-    if p.variables:
-        return UniPoly(p.base.field, univar_dense(p, name))
-    return UniPoly(p.base.field, [p.constant_coefficient()])
-
-
 def classify_order_one(f, factored=None, degree_bound=3, candidates=()):
     """Full cascade for y' = f(y).
 
@@ -372,7 +366,6 @@ def classify_order_one(f, factored=None, degree_bound=3, candidates=()):
     f = f if isinstance(f, DiffRatFunc) else DiffRatFunc.from_poly(f)
     base = f.base
     name = _main_var(f)
-    notes = []
 
     rational_chain = PfaffianChain(
         base,
@@ -412,14 +405,14 @@ def classify_order_one(f, factored=None, degree_bound=3, candidates=()):
             witness=("polynomial right-hand side: the equation is its own chain",),
             payload=PolynomialChainCertificate(chain=chain, element=element),
         )
-        return Verdict(pfaffian=pfaffian, rationally_pfaffian=rationally, notes=tuple(notes))
+        return Verdict(pfaffian=pfaffian, rationally_pfaffian=rationally)
 
     if base.var is not None:
         pfaffian = unknown(
             "the refutation and the presentation search apply over constant "
             "coefficients only"
         )
-        return Verdict(pfaffian=pfaffian, rationally_pfaffian=rationally, notes=tuple(notes))
+        return Verdict(pfaffian=pfaffian, rationally_pfaffian=rationally)
 
     stages = []
     fr = factored if factored is not None else extract_factored(f)
@@ -428,11 +421,7 @@ def classify_order_one(f, factored=None, degree_bound=3, candidates=()):
     else:
         refute = not_pfaffian_by_degree_theorem(fr)
         if refute.is_no:
-            return Verdict(
-                pfaffian=refute,
-                rationally_pfaffian=rationally,
-                notes=tuple(notes),
-            )
+            return Verdict(pfaffian=refute, rationally_pfaffian=rationally)
         stages.append(refute.reason)
     cert = search_presentation(f, candidates=candidates, degree_bound=degree_bound)
     if cert is not None:
@@ -440,13 +429,9 @@ def classify_order_one(f, factored=None, degree_bound=3, candidates=()):
             witness=(f"presentation h = {cert.h_str()} with rule {cert.p.str('x')}",),
             payload=cert,
         )
-        return Verdict(pfaffian=pfaffian, rationally_pfaffian=rationally, notes=tuple(notes))
+        return Verdict(pfaffian=pfaffian, rationally_pfaffian=rationally)
     stages.append(f"presentation search exhausted at degree bound {degree_bound}")
-    return Verdict(
-        pfaffian=unknown("; ".join(stages)),
-        rationally_pfaffian=rationally,
-        notes=tuple(notes),
-    )
+    return Verdict(pfaffian=unknown("; ".join(stages)), rationally_pfaffian=rationally)
 
 
 # ---------------------------------------------------------------------------

@@ -735,6 +735,12 @@ def univar_dense(p, name):
     return out
 
 
+def to_unipoly(p, name):
+    """The DiffPoly ``p``, univariate in ``name``, as a UniPoly over its field."""
+    dense = univar_dense(p, name) if p.variables else [p.constant_coefficient()]
+    return UniPoly(p.base.field, dense)
+
+
 def dense_to_diffpoly(base, variables, name, coeffs):
     i = tuple(variables).index(name)
     terms = {}
@@ -861,17 +867,28 @@ def substitute_cleared(f_num, f_den, r, s, d=2):
 
     ``f_num``/``f_den`` and ``r``/``s`` are UniPoly over one field; the
     caller picks the clearing power ``d``.  With d = 2 this is the form
-    whose polynomiality a one-rule chain presentation needs.
+    whose polynomiality a one-rule chain presentation needs: writing the
+    result as N/D, the rule f(R/S) * S^2 / W is a polynomial exactly when
+    D*W divides N.  The powers of ``r`` and ``s`` are tabulated once per
+    call.
     """
+    if f_den.is_zero():
+        raise DivisionByZero("f has a zero denominator")
+    top = max(f_num.degree, f_den.degree, 0)
+    rpow = [UniPoly.const(1, r.field)]
+    spow = [UniPoly.const(1, r.field)]
+    for _ in range(top):
+        rpow.append(rpow[-1] * r)
+        spow.append(spow[-1] * s)
+
     def homog(a):
         deg = max(a.degree, 0)
         out = UniPoly.zero(r.field)
         for i, c in enumerate(a.coeffs):
-            out = out + UniPoly.const(c, r.field) * r ** i * s ** (deg - i)
+            if not c.is_zero():
+                out = out + rpow[i] * spow[deg - i] * c
         return out
 
-    if f_den.is_zero():
-        raise DivisionByZero("f has a zero denominator")
     atilde = homog(f_num)
     btilde = homog(f_den)
     e = f_den.degree - f_num.degree + d

@@ -738,17 +738,21 @@ class UniPoly:
             return NotImplemented
         if b.is_zero():
             raise DivisionByZeroPolynomial("polynomial division by zero")
-        quo = UniPoly.zero(a.field)
-        rem = a
-        inv_lead = b.leading().inverse()
-        x = UniPoly.x(a.field)
-        while not rem.is_zero() and rem.degree >= b.degree:
-            k = rem.degree - b.degree
-            f = rem.leading() * inv_lead
-            t = UniPoly.const(f, a.field) * x ** k
-            quo = quo + t
-            rem = rem - t * b
-        return quo, rem
+        m = b.degree
+        n = a.degree - m
+        if n < 0:
+            return UniPoly.zero(a.field), a
+        # schoolbook long division on one coefficient list: rem[k + m] is
+        # the leading coefficient left when quotient term k is taken
+        rem = list(a.coeffs)
+        quo = [None] * (n + 1)
+        inv_lead = b.coeffs[-1].inverse()
+        for k in range(n, -1, -1):
+            f = quo[k] = rem[k + m] * inv_lead
+            if not f.is_zero():
+                for i in range(m):
+                    rem[k + i] = rem[k + i] - f * b.coeffs[i]
+        return UniPoly(a.field, quo), UniPoly(a.field, rem[:m])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]

@@ -141,10 +141,26 @@ class Neg:
     col: int
 
 
+# Nesting depth of parentheses, signs, exponents and group constructors.
+# Each level costs the recursive-descent parser a few interpreter frames,
+# so a much deeper input would exhaust the recursion limit.
+_MAX_NESTING = 100
+
+
 class _Stream:
     def __init__(self, tokens, pos=0):
         self.tokens = tokens
         self.pos = pos
+        self.depth = 0
+
+    def enter(self):
+        """Open one nesting level at the next token; ParseError past the limit."""
+        if self.depth >= _MAX_NESTING:
+            t = self.peek()
+            raise ParseError(
+                f"expression nested deeper than {_MAX_NESTING} levels", t.line, t.col
+            )
+        self.depth += 1
 
     def peek(self):
         return self.tokens[self.pos]
@@ -199,12 +215,17 @@ def parse_term(stream):
 
 
 def parse_unary(stream):
+    # every recursive path (parentheses, signs, exponents) passes here
+    stream.enter()
     t = stream.peek()
     if t.kind == "op" and t.value in "+-":
         stream.next()
         operand = parse_unary(stream)
-        return operand if t.value == "+" else Neg(operand, t.line, t.col)
-    return parse_power(stream)
+        node = operand if t.value == "+" else Neg(operand, t.line, t.col)
+    else:
+        node = parse_power(stream)
+    stream.depth -= 1
+    return node
 
 
 def parse_power(stream):
@@ -668,6 +689,13 @@ _GROUP_RANKED = {"SL": G.SL, "GL": G.GL, "PSL": G.PSL, "PGL": G.PGL, "T": G.Toru
 
 
 def _parse_group(stream):
+    stream.enter()
+    g = _parse_group_node(stream)
+    stream.depth -= 1
+    return g
+
+
+def _parse_group_node(stream):
     t = stream.next()
     if t.kind != "name":
         raise ParseError(

@@ -6,6 +6,7 @@ import pytest
 import pfaffkit as pk
 from pfaffkit.chains import (
     PfaffianChain,
+    _presentation_rule,
     chain_validate,
     combine,
     invert_element,
@@ -15,7 +16,7 @@ from pfaffkit.chains import (
     verify_backward,
     verify_forward,
 )
-from pfaffkit.diffalg import BaseDiffField, DiffPoly, DiffRatFunc
+from pfaffkit.diffalg import BaseDiffField, DiffPoly, DiffRatFunc, RatFunc, substitute_cleared
 from pfaffkit.errors import (
     ChainMismatch,
     MixedKinds,
@@ -25,7 +26,7 @@ from pfaffkit.errors import (
     ZeroElement,
 )
 
-from conftest import rand_diffpoly, rand_fraction
+from conftest import rand_diffpoly, rand_fraction, rand_unipoly
 
 C = BaseDiffField.constants()
 Kt = BaseDiffField.rational_functions(var="t")
@@ -373,6 +374,46 @@ class TestSearchPresentation:
             cert = search_presentation(f)
             if cert is not None:
                 assert verify_forward(cert.chain, cert.element, f).ok
+
+    def test_exact_division_rule_matches_reduced_quotient(self, sqrt2):
+        # the search accepts a candidate when D*W divides N for the cleared
+        # form N/D; the reference reduces N/(D*W) as a rational function
+        def reference_rule(A, B, r, s, w):
+            one = pk.UniPoly.const(1, A.field)
+            quot = substitute_cleared(A, B, r, s, d=2) / RatFunc(w, one)
+            if not quot.is_polynomial():
+                return None
+            return quot.num * quot.den.constant_value().inverse()
+
+        for field in (None, sqrt2):
+            rng = random.Random(31)
+            x = pk.UniPoly.x(field)
+            for k in range(40):
+                # a Moebius h = R/S and a rule P give f = (P W / S^2)(h^-1),
+                # so (R, S) has a polynomial rule; the other pairs mostly not
+                while True:
+                    a, b, c, d = (rand_fraction(rng, 3) for _ in range(4))
+                    if a * d - b * c:
+                        break
+                r, s = a * x + b, c * x + d
+                w = r.derivative() * s - r * s.derivative()
+                P = rand_unipoly(rng, field, max_deg=3) if k else pk.UniPoly.zero(field)
+                g = RatFunc(w * P, s * s)
+                f = substitute_cleared(g.num, g.den, d * x - b, a - c * x, d=0)
+                A, B = f.num, f.den
+                others = [
+                    (x * x, pk.UniPoly.const(1, field)),
+                    (pk.UniPoly.const(1, field), x * x - 1),
+                    (rand_unipoly(rng, field, max_deg=2), rand_unipoly(rng, field, max_deg=2)),
+                ]
+                assert _presentation_rule(A, B, r, s, w) == P
+                for r2, s2 in [(r, s)] + others:
+                    if s2.is_zero():
+                        continue
+                    w2 = r2.derivative() * s2 - r2 * s2.derivative()
+                    if w2.is_zero():
+                        continue
+                    assert _presentation_rule(A, B, r2, s2, w2) == reference_rule(A, B, r2, s2, w2)
 
 
 class TestSerialization:

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import string
 import subprocess
@@ -287,6 +288,30 @@ class TestExitCodes:
             text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 30)))
             _, code = invoke("group-check", "--allowed", "eulerian", text)
             assert code in (0, 1), text
+
+    @pytest.mark.parametrize("argv", [
+        ["classify-ode", "y' = " + "(" * 400 + "y" + ")" * 400],
+        ["group-check", "--allowed", "eulerian", "Sub(" * 1000 + "Gm" + ")" * 1000],
+        ["classify-linear", "--group", "SL(2)", "y'' + " + "(" * 1000 + "t" + ")" * 1000 + "*y = 0"],
+    ])
+    def test_deep_nesting_is_a_parse_error(self, argv):
+        doc, code = invoke(*argv)
+        assert code == 1
+        assert doc["error"]["kind"] == "parse"
+        assert doc["error"]["line"] == 1 and doc["error"]["column"] > 1
+
+    def test_closed_stdout_keeps_exit_code(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pfaffkit.cli", "classify-ode", "y' = 1/(2*y)"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, check=False,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
     def test_console_entry_point(self):
         proc = subprocess.run(

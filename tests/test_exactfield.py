@@ -13,7 +13,7 @@ from pfaffkit.errors import (
 )
 from pfaffkit.exactfield import UniPoly, extract_linear_roots, scalar_sqrt
 
-from conftest import rand_scalar
+from conftest import rand_scalar, rand_unipoly
 
 
 class TestNumberFieldConstruction:
@@ -176,6 +176,43 @@ class TestPolyToolkit:
             assert (q % g).is_zero()
             if not common.is_zero():
                 assert (g % common.monic()).is_zero()
+
+
+def reference_divmod(a, b):
+    """Term-by-term division: one polynomial product and difference per term."""
+    quo = UniPoly.zero(a.field)
+    rem = a
+    inv_lead = b.leading().inverse()
+    x = UniPoly.x(a.field)
+    while not rem.is_zero() and rem.degree >= b.degree:
+        k = rem.degree - b.degree
+        t = UniPoly.const(rem.leading() * inv_lead, a.field) * x ** k
+        quo = quo + t
+        rem = rem - t * b
+    return quo, rem
+
+
+class TestLongDivision:
+    @pytest.mark.parametrize("use_field", [False, True])
+    def test_matches_term_by_term_reference(self, sqrt2, use_field):
+        field = sqrt2 if use_field else None
+        rng = random.Random(97)
+        x = UniPoly.x(field)
+        pairs = [
+            (x ** 3 - 2 * x + 5, UniPoly.const(Fraction(3, 7), field)),  # constant divisor
+            (x + 1, x ** 4 - x),  # divisor of higher degree
+            (UniPoly.zero(field), x - 1),
+        ]
+        while len(pairs) < 300:
+            b = rand_unipoly(rng, field, max_deg=4)
+            if not b.is_zero():
+                pairs.append((rand_unipoly(rng, field, max_deg=8), b))
+        for a, b in pairs:
+            q, r = divmod(a, b)
+            assert (q, r) == reference_divmod(a, b)
+            assert q * b + r == a
+            assert r.degree < b.degree
+            assert a // b == q and a % b == r
 
 
 class TestSqrtAndRoots:
