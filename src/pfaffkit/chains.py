@@ -30,7 +30,7 @@ from .errors import (
 from .diffalg import (
     DiffPoly,
     DiffRatFunc,
-    dense_to_diffpoly,
+    from_unipoly,
     substitute_cleared,
     to_unipoly,
 )
@@ -477,10 +477,6 @@ class PresentationCertificate:
         return f"{r}/{s}"
 
 
-def _from_unipoly(base, variables, name, u):
-    return dense_to_diffpoly(base, variables, name, list(u.coeffs))
-
-
 def search_presentation(f, candidates=(), degree_bound=3):
     """Look for a presentation certificate for y' = f(y) over constants.
 
@@ -576,10 +572,10 @@ def _as_field_scalar(v, field):
 
 def _build_certificate(base, r, s, p, f, name):
     variables = ("y1",)
-    rule = _from_unipoly(base, variables, "y1", p)
+    rule = from_unipoly(p, base, variables, "y1")
     chain = PfaffianChain(base, "polynomial", (rule,), variables).validate()
-    rexpr = _from_unipoly(base, variables, "y1", r)
-    sexpr = _from_unipoly(base, variables, "y1", s)
+    rexpr = from_unipoly(r, base, variables, "y1")
+    sexpr = from_unipoly(s, base, variables, "y1")
     element = DiffRatFunc(rexpr, sexpr)
     check = verify_forward(chain, element, f)
     if not check.ok:

@@ -41,18 +41,13 @@ from .groups import (
 from .parser import (
     EvalContext,
     ParseError,
-    _Stream,
-    _parse_decl_tokens,
-    _split_over,
     eval_ratfunc,
-    parse_expr,
+    parse_expression_text,
     parse_fixture_text,
     parse_group_text,
     parse_linear_text,
     parse_ode_text,
-    describe,
-    tokenize,
-    _context_from,
+    parse_ratfunc_text,
 )
 
 SCHEMA_VERSION = "1"
@@ -254,7 +249,8 @@ def cmd_noetherianize(args):
 
 
 def cmd_residues(args):
-    f, base = _parse_bare_ratfunc(args.function)
+    spec = parse_ratfunc_text(args.function)
+    f, base = spec.f, spec.base
     if base.var is not None:
         raise ParseError("residue data is computed over constant coefficients")
     factored = extract_factored(f)
@@ -285,19 +281,6 @@ def cmd_residues(args):
         provenance=_provenance(base),
     )
     return doc, 0
-
-
-def _parse_bare_ratfunc(text, varname="y"):
-    tokens = tokenize(text)
-    expr_tokens, decl_tokens = _split_over(tokens)
-    decl = _parse_decl_tokens(decl_tokens)
-    stream = _Stream(expr_tokens + [tokens[-1]])
-    node = parse_expr(stream)
-    if not stream.at_end():
-        t = stream.peek()
-        raise ParseError(f"trailing {describe(t)}", t.line, t.col)
-    ctx = _context_from(expr_tokens, decl, (varname,))
-    return eval_ratfunc(node, ctx), ctx.base
 
 
 def cmd_logderiv_reduce(args):
@@ -350,12 +333,7 @@ def _parse_candidates(args, spec):
     out = []
     for text in getattr(args, "candidate", None) or ():
         ctx = EvalContext(base=spec.base, ring=("x",), gen_name=spec.gen_name)
-        stream = _Stream(tokenize(text))
-        node = parse_expr(stream)
-        if not stream.at_end():
-            t = stream.peek()
-            raise ParseError(f"trailing {describe(t)}", t.line, t.col)
-        h = eval_ratfunc(node, ctx)
+        h = eval_ratfunc(parse_expression_text(text), ctx)
         out.append((to_unipoly(h.num, "x"), to_unipoly(h.den, "x")))
     return out
 

@@ -32,6 +32,7 @@ from .exactfield import (
 from .diffalg import (
     DiffPoly,
     DiffRatFunc,
+    from_unipoly,
     riccati_reduce,
     to_unipoly,
 )
@@ -113,16 +114,9 @@ class FactoredRatFunc:
 
     def as_diffratfunc(self, base, varname="y"):
         variables = (varname,)
-        num = _unipoly_to_diffpoly(self.numerator(), base, variables, varname)
-        den = _unipoly_to_diffpoly(self.denominator(), base, variables, varname)
+        num = from_unipoly(self.numerator(), base, variables, varname)
+        den = from_unipoly(self.denominator(), base, variables, varname)
         return DiffRatFunc(num, den)
-
-
-def _unipoly_to_diffpoly(u, base, variables, varname):
-    from .diffalg import dense_to_diffpoly
-
-    return dense_to_diffpoly(base, variables, varname, [base.coerce(c) for c in u.coeffs]) \
-        if u.coeffs else DiffPoly.zero(base, variables)
 
 
 @dataclass(frozen=True)

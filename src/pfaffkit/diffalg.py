@@ -5,7 +5,9 @@ K(t) with d/dt; multivariate differential polynomials carry the
 coefficient derivation.  Also home to the rational-function coefficient
 type, the logarithmic-derivative (Riccati-style) reduction of a monic
 linear equation, and exact composition of univariate rational
-functions.
+functions.  Univariate differential rational functions are reduced with
+the package's one division and gcd kernel, ``exactfield.dense_divmod``
+and ``exactfield.dense_gcd``, over K and over K(t) alike.
 
 Everything here is a pure value: arithmetic returns new objects and
 never mutates, so concurrent use needs no coordination.
@@ -28,6 +30,8 @@ from .exactfield import (
     NumberField,
     UniPoly,
     _coeff_term_str,
+    dense_divmod,
+    dense_gcd,
     poly_gcd,
     scalar_display_negative,
 )
@@ -741,6 +745,11 @@ def to_unipoly(p, name):
     return UniPoly(p.base.field, dense)
 
 
+def from_unipoly(u, base, variables, name):
+    """The UniPoly ``u`` as a DiffPoly in ``name``; the inverse of ``to_unipoly``."""
+    return dense_to_diffpoly(base, variables, name, [base.coerce(c) for c in u.coeffs])
+
+
 def dense_to_diffpoly(base, variables, name, coeffs):
     i = tuple(variables).index(name)
     terms = {}
@@ -751,32 +760,6 @@ def dense_to_diffpoly(base, variables, name, coeffs):
     return DiffPoly(base, variables, terms)
 
 
-def _dense_gcd(a, b):
-    def trim(cs):
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        return cs
-
-    def dmod(x, y):
-        x = list(x)
-        inv = y[-1].inverse()
-        while len(x) >= len(y) and x:
-            k = len(x) - len(y)
-            f = x[-1] * inv
-            for i, c in enumerate(y):
-                x[i + k] = x[i + k] - f * c
-            trim(x)
-        return x
-
-    a, b = trim(list(a)), trim(list(b))
-    while b:
-        a, b = b, dmod(a, b)
-    if a:
-        inv = a[-1].inverse()
-        a = [c * inv for c in a]
-    return a
-
-
 def _reduce_fraction(num, den):
     base, variables = num.base, num.variables
     if num.is_zero():
@@ -785,11 +768,12 @@ def _reduce_fraction(num, den):
     if name is not None and variables:
         a = univar_dense(num, name)
         b = univar_dense(den, name)
-        g = _dense_gcd(a, b)
+        g = dense_gcd(a, b)
         if len(g) > 1:
-            gp = dense_to_diffpoly(base, variables, name, g)
-            num = _exact_div_univar(num, gp, name)
-            den = _exact_div_univar(den, gp, name)
+            # g is monic, so the inverse of its leading coefficient is 1
+            one = base.one()
+            num = dense_to_diffpoly(base, variables, name, dense_divmod(a, g, one)[0])
+            den = dense_to_diffpoly(base, variables, name, dense_divmod(b, g, one)[0])
     else:
         # multivariate: cancel common monomial content only
         def content(p):
@@ -813,24 +797,6 @@ def _reduce_fraction(num, den):
     num = num * inv
     den = den * inv
     return num, den
-
-
-def _exact_div_univar(p, g, name):
-    base, variables = p.base, p.variables
-    a = univar_dense(p, name)
-    b = univar_dense(g, name)
-    out = [base.zero() for _ in range(len(a) - len(b) + 1)]
-    a = list(a)
-    inv = b[-1].inverse()
-    while a and len(a) >= len(b):
-        k = len(a) - len(b)
-        f = a[-1] * inv
-        out[k] = f
-        for i, c in enumerate(b):
-            a[i + k] = a[i + k] - f * c
-        while a and a[-1].is_zero():
-            a.pop()
-    return dense_to_diffpoly(base, variables, name, out)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,12 @@ polynomial.  Every operation returns a fully reduced canonical
 representative, so ``==`` is structural equality and all values are
 safe to share between threads.
 
+Long division and the Euclidean gcd are written once, on coefficient
+lists (``dense_divmod``, ``dense_gcd``), for every coefficient type the
+package uses: the Q[theta] reduction of scalars, ``UniPoly`` over Q(theta)
+and the univariate reduction of differential rational functions over K
+and K(t).
+
 Only simple extensions are supported (one generator, no towers), which
 covers every concrete irrationality condition the verdict engine needs.
 Irreducibility of the defining polynomial is *verified* up to degree 3
@@ -36,7 +42,55 @@ _Q1 = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over Fraction (internal; used for minimal-polynomial work)
+# dense coefficient lists, lowest degree first
+
+def dense_divmod(a, b, inv_lead):
+    """Schoolbook long division of coefficient list ``a`` by ``b``.
+
+    This is the one division loop behind every univariate polynomial in
+    the package.  The caller passes ``inv_lead``, the inverse of
+    ``b[-1]``, so the coefficients need only ``*`` and ``-``: Fractions,
+    scalars and rational functions of K(t) all serve.  Returns the
+    quotient and the remainder untrimmed, ``len(a) - len(b) + 1`` and
+    ``len(b) - 1`` entries long (no quotient and all of ``a`` when ``a``
+    is shorter than ``b``); each caller trims them with its own zero test.
+    """
+    m = len(b) - 1
+    n = len(a) - 1 - m
+    if n < 0:
+        return [], list(a)
+    # rem[k + m] is the leading coefficient left when quotient term k is taken
+    rem = list(a)
+    quo = [None] * (n + 1)
+    for k in range(n, -1, -1):
+        f = quo[k] = rem[k + m] * inv_lead
+        for i in range(m):
+            rem[k + i] = rem[k + i] - f * b[i]
+    return quo, rem[:m]
+
+
+def _trim(cs):
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return cs
+
+
+def dense_gcd(a, b):
+    """Monic gcd of two coefficient lists by the Euclidean algorithm.
+
+    The coefficients need ``is_zero()`` and ``inverse()``; zero leading
+    entries are allowed.  The gcd of two zero lists is the empty list.
+    """
+    a, b = _trim(list(a)), _trim(list(b))
+    while b:
+        a, b = b, _trim(dense_divmod(a, b, b[-1].inverse())[1])
+    if a:
+        inv = a[-1].inverse()
+        a = [c * inv for c in a]
+    return a
+
+
+# Fraction lists are the coordinate arithmetic of Q[theta] behind scalars
 
 def _qtrim(cs):
     while cs and not cs[-1]:
@@ -70,49 +124,14 @@ def _qmul(a, b):
     return _qtrim(out)
 
 
-def _qdivmod(a, b):
-    if not b:
-        raise DivisionByZeroPolynomial("polynomial division by zero")
-    rem = list(a)
-    quo = [_Q0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = 1 / b[-1]
-    while len(rem) >= len(b):
-        k = len(rem) - len(b)
-        f = rem[-1] * inv_lead
-        quo[k] = f
-        for i, c in enumerate(b):
-            rem[i + k] -= f * c
-        _qtrim(rem)
-        if not rem:
-            break
-        if len(rem) - len(b) < 0:
-            break
-    return _qtrim(quo), _qtrim(rem)
-
-
-def _qderiv(a):
-    return _qtrim([i * c for i, c in enumerate(a)][1:])
-
-
-def _qgcd(a, b):
-    a, b = list(a), list(b)
-    while b:
-        _, r = _qdivmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
 def _qxgcd(a, b):
     """Extended Euclid in Q[x]: returns (g, u, v) with u*a + v*b = g."""
     r0, r1 = list(a), list(b)
     u0, u1 = [_Q1], []
     v0, v1 = [], [_Q1]
     while r1:
-        q, r = _qdivmod(r0, r1)
-        r0, r1 = r1, r
+        q, r = dense_divmod(r0, r1, 1 / r1[-1])
+        r0, r1 = r1, _qtrim(r)
         u0, u1 = u1, _qadd(u0, _qneg(_qmul(q, u1)))
         v0, v1 = v1, _qadd(v0, _qneg(_qmul(q, v1)))
     return r0, u0, v0
@@ -198,6 +217,17 @@ def _rational_roots(cs):
         k += 1
     if len(ints) <= 1:
         return sorted(roots)
+    # degree <= 2 is decided exactly, without factoring the constant term
+    if len(ints) == 2:
+        roots.add(Fraction(-ints[0], ints[1]))
+        return sorted(roots)
+    if len(ints) == 3:
+        c, b, a = ints
+        disc = b * b - 4 * a * c
+        s = isqrt(max(disc, 0))
+        if s * s == disc:
+            roots.update((Fraction(-b + s, 2 * a), Fraction(-b - s, 2 * a)))
+        return sorted(roots)
     a0, an = ints[0], ints[-1]
     for p in _divisors(a0):
         for q in _divisors(an):
@@ -277,16 +307,8 @@ class NumberField:
 
 
 def _reduce_mod(cs, minpoly):
-    cs = [Fraction(c) for c in cs]
-    deg = len(minpoly) - 1
-    while len(cs) > deg:
-        lead = cs.pop()
-        if not lead:
-            continue
-        k = len(cs) - deg
-        for i in range(deg):
-            cs[i + k] -= lead * minpoly[i]
-    return cs
+    # minpoly is monic, so the inverse of its leading coefficient is 1
+    return dense_divmod(cs, minpoly, _Q1)[1]
 
 
 def nf_new(minpoly, name="r"):
@@ -303,11 +325,12 @@ def nf_new(minpoly, name="r"):
         raise NotMonic("defining polynomial must have degree >= 1")
     if cs[-1] != 1:
         raise NotMonic("defining polynomial must be monic")
-    g = _qgcd(cs, _qderiv(cs))
-    if len(g) > 1:
+    p = UniPoly(None, cs)
+    g = poly_gcd(p, p.derivative())
+    if g.degree > 0:
         raise ReduciblePolynomial(
             f"defining polynomial is not squarefree (gcd with derivative has "
-            f"degree {len(g) - 1})"
+            f"degree {g.degree})"
         )
     degree = len(cs) - 1
     status = "asserted"
@@ -738,21 +761,8 @@ class UniPoly:
             return NotImplemented
         if b.is_zero():
             raise DivisionByZeroPolynomial("polynomial division by zero")
-        m = b.degree
-        n = a.degree - m
-        if n < 0:
-            return UniPoly.zero(a.field), a
-        # schoolbook long division on one coefficient list: rem[k + m] is
-        # the leading coefficient left when quotient term k is taken
-        rem = list(a.coeffs)
-        quo = [None] * (n + 1)
-        inv_lead = b.coeffs[-1].inverse()
-        for k in range(n, -1, -1):
-            f = quo[k] = rem[k + m] * inv_lead
-            if not f.is_zero():
-                for i in range(m):
-                    rem[k + i] = rem[k + i] - f * b.coeffs[i]
-        return UniPoly(a.field, quo), UniPoly(a.field, rem[:m])
+        quo, rem = dense_divmod(a.coeffs, b.coeffs, b.coeffs[-1].inverse())
+        return UniPoly(a.field, quo), UniPoly(a.field, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -849,9 +859,7 @@ def poly_gcd(p, q):
     a, b = p._pair(q)
     if a.is_zero() and b.is_zero():
         raise DivisionByZeroPolynomial("gcd(0, 0) is undefined")
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    return UniPoly(a.field, dense_gcd(a.coeffs, b.coeffs))
 
 
 @dataclass(frozen=True)

@@ -299,42 +299,77 @@ class EvalContext:
         return out
 
 
+def _fold(node, leaf, combine):
+    """Evaluate an AST bottom-up with an explicit stack.
+
+    ``leaf(n)`` gives the value of a Num or Sym node, ``combine(n, *values)``
+    that of a Neg or Bin node from its operands' values, left to right.
+    The exponent of a '^' node is not an operand: ``combine`` reads it with
+    ``_int_exponent``.  A flat sum is a left-deep tree as long as the input,
+    so the walk does not recurse.
+    """
+    values = []
+    stack = [(node, False)]
+    while stack:
+        n, ready = stack.pop()
+        if isinstance(n, (Num, Sym)):
+            values.append(leaf(n))
+            continue
+        if isinstance(n, Neg):
+            operands = (n.operand,)
+        elif isinstance(n, Bin):
+            operands = (n.left,) if n.op == "^" else (n.left, n.right)
+        else:
+            raise ParseError("malformed expression", 1, 1)
+        if ready:
+            k = len(values) - len(operands)
+            args = values[k:]
+            del values[k:]
+            values.append(combine(n, *args))
+        else:
+            stack.append((n, True))
+            stack.extend((o, False) for o in reversed(operands))
+    return values[0]
+
+
 def eval_ratfunc(node, ctx):
     """Evaluate an AST to a DiffRatFunc in the context's ring."""
     base, ring = ctx.base, ctx.ring
-    if isinstance(node, Num):
-        return DiffRatFunc.from_poly(DiffPoly.const(base, ring, node.value))
-    if isinstance(node, Sym):
-        if node.primes:
+
+    def leaf(n):
+        if isinstance(n, Num):
+            return DiffRatFunc.from_poly(DiffPoly.const(base, ring, n.value))
+        if n.primes:
             raise ParseError(
-                f"derivatives of {node.name} are not allowed here", node.line, node.col
+                f"derivatives of {n.name} are not allowed here", n.line, n.col
             )
-        if node.name in ring:
-            return DiffRatFunc.from_poly(DiffPoly.var(base, ring, node.name))
-        if node.name == ctx.gen_name and ctx.gen_name is not None:
+        if n.name in ring:
+            return DiffRatFunc.from_poly(DiffPoly.var(base, ring, n.name))
+        if n.name == ctx.gen_name and ctx.gen_name is not None:
             field = base.field
             return DiffRatFunc.from_poly(DiffPoly.const(base, ring, field.gen()))
-        if node.name == base.var:
+        if n.name == base.var:
             return DiffRatFunc.from_poly(DiffPoly.const(base, ring, base.gen()))
-        raise ParseError(f"unknown identifier {node.name!r}", node.line, node.col)
-    if isinstance(node, Neg):
-        return -eval_ratfunc(node.operand, ctx)
-    if isinstance(node, Bin):
-        if node.op == "^":
-            return eval_ratfunc(node.left, ctx) ** _int_exponent(node.right)
-        lhs = eval_ratfunc(node.left, ctx)
-        rhs = eval_ratfunc(node.right, ctx)
-        if node.op == "+":
+        raise ParseError(f"unknown identifier {n.name!r}", n.line, n.col)
+
+    def combine(n, lhs, rhs=None):
+        if isinstance(n, Neg):
+            return -lhs
+        if n.op == "^":
+            return lhs ** _int_exponent(n.right)
+        if n.op == "+":
             return lhs + rhs
-        if node.op == "-":
+        if n.op == "-":
             return lhs - rhs
-        if node.op == "*":
+        if n.op == "*":
             return lhs * rhs
-        if node.op == "/":
+        if n.op == "/":
             if rhs.is_zero():
-                raise ParseError("division by zero", node.line, node.col)
+                raise ParseError("division by zero", n.line, n.col)
             return lhs / rhs
-    raise ParseError("malformed expression", 1, 1)
+        raise ParseError("malformed expression", 1, 1)
+
+    return _fold(node, leaf, combine)
 
 
 class LinearValue:
@@ -366,141 +401,134 @@ def eval_linear(node, ctx, yname="y"):
     def const(c):
         return LinearValue(base, base.coerce(c), {})
 
-    def walk(n):
+    def leaf(n):
         if isinstance(n, Num):
             return const(n.value)
-        if isinstance(n, Sym):
-            if n.name == yname:
-                return LinearValue(base, base.zero(), {n.primes: base.one()})
-            if n.primes:
-                raise ParseError(f"cannot differentiate {n.name!r}", n.line, n.col)
-            if n.name == ctx.gen_name and ctx.gen_name is not None:
-                return const(base.field.gen())
-            if n.name == base.var:
-                return const(base.gen())
-            raise ParseError(f"unknown identifier {n.name!r}", n.line, n.col)
+        if n.name == yname:
+            return LinearValue(base, base.zero(), {n.primes: base.one()})
+        if n.primes:
+            raise ParseError(f"cannot differentiate {n.name!r}", n.line, n.col)
+        if n.name == ctx.gen_name and ctx.gen_name is not None:
+            return const(base.field.gen())
+        if n.name == base.var:
+            return const(base.gen())
+        raise ParseError(f"unknown identifier {n.name!r}", n.line, n.col)
+
+    def combine(n, a, b=None):
         if isinstance(n, Neg):
-            v = walk(n.operand)
-            return LinearValue(base, -v.scalar, {k: -c for k, c in v.orders.items()})
-        if isinstance(n, Bin):
-            if n.op == "^":
-                v = walk(n.left)
-                e = _int_exponent(n.right)
-                if not v.is_scalar() and e != 1:
-                    raise ParseError("the equation must be linear in y", n.line, n.col)
-                if v.is_scalar():
-                    out = base.one()
-                    for _ in range(e):
-                        out = out * v.scalar
-                    return LinearValue(base, out, {})
-                return v
-            a, b = walk(n.left), walk(n.right)
-            if n.op == "+":
-                return a._add(b, 1)
-            if n.op == "-":
-                return a._add(b, -1)
-            if n.op == "*":
-                if not a.is_scalar() and not b.is_scalar():
-                    raise ParseError("the equation must be linear in y", n.line, n.col)
-                if a.is_scalar():
-                    a, b = b, a
-                s = b.scalar
-                return LinearValue(
-                    base, a.scalar * s, {k: c * s for k, c in a.orders.items()}
-                )
-            if n.op == "/":
-                if not b.is_scalar():
-                    raise ParseError("cannot divide by y", n.line, n.col)
-                if b.scalar.is_zero():
-                    raise ParseError("division by zero", n.line, n.col)
-                inv = b.scalar.inverse() if hasattr(b.scalar, "inverse") else 1 / b.scalar
-                return LinearValue(
-                    base, a.scalar * inv, {k: c * inv for k, c in a.orders.items()}
-                )
+            return LinearValue(base, -a.scalar, {k: -c for k, c in a.orders.items()})
+        if n.op == "^":
+            e = _int_exponent(n.right)
+            if not a.is_scalar() and e != 1:
+                raise ParseError("the equation must be linear in y", n.line, n.col)
+            if a.is_scalar():
+                out = base.one()
+                for _ in range(e):
+                    out = out * a.scalar
+                return LinearValue(base, out, {})
+            return a
+        if n.op == "+":
+            return a._add(b, 1)
+        if n.op == "-":
+            return a._add(b, -1)
+        if n.op == "*":
+            if not a.is_scalar() and not b.is_scalar():
+                raise ParseError("the equation must be linear in y", n.line, n.col)
+            if a.is_scalar():
+                a, b = b, a
+            s = b.scalar
+            return LinearValue(
+                base, a.scalar * s, {k: c * s for k, c in a.orders.items()}
+            )
+        if n.op == "/":
+            if not b.is_scalar():
+                raise ParseError("cannot divide by y", n.line, n.col)
+            if b.scalar.is_zero():
+                raise ParseError("division by zero", n.line, n.col)
+            inv = b.scalar.inverse() if hasattr(b.scalar, "inverse") else 1 / b.scalar
+            return LinearValue(
+                base, a.scalar * inv, {k: c * inv for k, c in a.orders.items()}
+            )
         raise ParseError("malformed expression", 1, 1)
 
-    return walk(node)
+    return _fold(node, leaf, combine)
 
 
 def eval_uexpr(node, base):
     """Evaluate an AST as an expression in u, u', u'', ... over the base."""
 
-    def walk(n):
+    def leaf(n):
         if isinstance(n, Num):
             return DiffIndeterminateExpr.const(base, n.value)
-        if isinstance(n, Sym):
-            if n.name == "u":
-                return DiffIndeterminateExpr.u(base, n.primes)
-            if n.primes:
-                raise ParseError(f"cannot differentiate {n.name!r}", n.line, n.col)
-            if n.name == base.var:
-                return DiffIndeterminateExpr.const(base, base.gen())
-            raise ParseError(f"unknown identifier {n.name!r}", n.line, n.col)
+        if n.name == "u":
+            return DiffIndeterminateExpr.u(base, n.primes)
+        if n.primes:
+            raise ParseError(f"cannot differentiate {n.name!r}", n.line, n.col)
+        if n.name == base.var:
+            return DiffIndeterminateExpr.const(base, base.gen())
+        raise ParseError(f"unknown identifier {n.name!r}", n.line, n.col)
+
+    def combine(n, a, b=None):
         if isinstance(n, Neg):
-            return -walk(n.operand)
-        if isinstance(n, Bin):
-            if n.op == "^":
-                v = walk(n.left)
-                e = _int_exponent(n.right)
-                out = DiffIndeterminateExpr.const(base, 1)
-                for _ in range(e):
-                    out = out * v
-                return out
-            a, b = walk(n.left), walk(n.right)
-            if n.op == "+":
-                return a + b
-            if n.op == "-":
-                return a - b
-            if n.op == "*":
-                return a * b
-            if n.op == "/":
-                if b.order() >= 0:
-                    raise ParseError("cannot divide by u", n.line, n.col)
-                c = b.terms.get((), base.zero())
-                if c.is_zero():
-                    raise ParseError("division by zero", n.line, n.col)
-                inv = c.inverse()
-                return DiffIndeterminateExpr(
-                    base, {e2: c2 * inv for e2, c2 in a.terms.items()}
-                )
+            return -a
+        if n.op == "^":
+            e = _int_exponent(n.right)
+            out = DiffIndeterminateExpr.const(base, 1)
+            for _ in range(e):
+                out = out * a
+            return out
+        if n.op == "+":
+            return a + b
+        if n.op == "-":
+            return a - b
+        if n.op == "*":
+            return a * b
+        if n.op == "/":
+            if b.order() >= 0:
+                raise ParseError("cannot divide by u", n.line, n.col)
+            c = b.terms.get((), base.zero())
+            if c.is_zero():
+                raise ParseError("division by zero", n.line, n.col)
+            inv = c.inverse()
+            return DiffIndeterminateExpr(
+                base, {e2: c2 * inv for e2, c2 in a.terms.items()}
+            )
         raise ParseError("malformed expression", 1, 1)
 
-    return walk(node)
+    return _fold(node, leaf, combine)
 
 
 def eval_unipoly_q(node, gen_name):
     """Evaluate an AST as a UniPoly over Q in the field generator."""
     x = UniPoly.x(None)
 
-    def walk(n):
+    def leaf(n):
         if isinstance(n, Num):
             return UniPoly.const(n.value, None)
-        if isinstance(n, Sym):
-            if n.name == gen_name and not n.primes:
-                return x
-            raise ParseError(
-                f"only {gen_name!r} may appear in a defining polynomial",
-                n.line, n.col,
-            )
+        if n.name == gen_name and not n.primes:
+            return x
+        raise ParseError(
+            f"only {gen_name!r} may appear in a defining polynomial", n.line, n.col
+        )
+
+    def combine(n, a, b=None):
         if isinstance(n, Neg):
-            return -walk(n.operand)
-        if isinstance(n, Bin):
-            if n.op == "^":
-                return walk(n.left) ** _int_exponent(n.right)
-            a, b = walk(n.left), walk(n.right)
-            if n.op == "+":
-                return a + b
-            if n.op == "-":
-                return a - b
-            if n.op == "*":
-                return a * b
-            if n.op == "/":
-                if not b.is_constant() or b.is_zero():
-                    raise ParseError("division by a non-constant", n.line, n.col)
-                return a * b.constant_value().inverse()
+            return -a
+        if n.op == "^":
+            return a ** _int_exponent(n.right)
+        if n.op == "+":
+            return a + b
+        if n.op == "-":
+            return a - b
+        if n.op == "*":
+            return a * b
+        if n.op == "/":
+            if not b.is_constant() or b.is_zero():
+                raise ParseError("division by a non-constant", n.line, n.col)
+            return a * b.constant_value().inverse()
         raise ParseError("malformed expression", 1, 1)
 
-    return walk(node)
+    return _fold(node, leaf, combine)
 
 
 # ---------------------------------------------------------------------------
@@ -616,17 +644,27 @@ class OdeSpec:
 
 def parse_ode_text(text, varname="y"):
     """Parse ``y' = <expr> [over <decl>]`` into the right-hand side."""
+    return _parse_function_text(text, varname, equation=True)
+
+
+def parse_ratfunc_text(text, varname="y"):
+    """Parse ``<expr> [over <decl>]`` into an OdeSpec whose ``f`` is that function."""
+    return _parse_function_text(text, varname, equation=False)
+
+
+def _parse_function_text(text, varname, equation):
     tokens = tokenize(text)
     expr_tokens, decl_tokens = _split_over(tokens)
     decl = _parse_decl_tokens(decl_tokens)
     stream = _Stream(expr_tokens + [tokens[-1]])
-    head = stream.next()
-    if head.kind != "name" or head.value != varname or head.primes != 1:
-        raise ParseError(
-            f"an order-one equation starts with {varname}'",
-            head.line, head.col, expected=[f"{varname}'"],
-        )
-    stream.expect_op("=")
+    if equation:
+        head = stream.next()
+        if head.kind != "name" or head.value != varname or head.primes != 1:
+            raise ParseError(
+                f"an order-one equation starts with {varname}'",
+                head.line, head.col, expected=[f"{varname}'"],
+            )
+        stream.expect_op("=")
     node = parse_expr(stream)
     t = stream.peek()
     if not stream.at_end():

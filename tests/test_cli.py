@@ -300,6 +300,34 @@ class TestExitCodes:
         assert doc["error"]["kind"] == "parse"
         assert doc["error"]["line"] == 1 and doc["error"]["column"] > 1
 
+    @pytest.mark.parametrize("argv", [
+        ["classify-ode", "y' = " + "+".join(["y"] * 1500)],
+        ["classify-linear", "--group", "SL(2)", "y' + " + " + ".join(["t*y"] * 1500) + " = 0"],
+        ["classify-ode", "y' = y over Q(r: r^2 - 2" + " + 0" * 1500 + ")"],
+    ])
+    def test_long_flat_sum_gets_a_verdict(self, argv):
+        doc, code = invoke(*argv)
+        assert code == 0, doc
+        assert "error" not in doc
+
+    @pytest.mark.parametrize("argv, key, expected", [
+        # 100000000380000000361 = 10000000019^2: both zeros are found
+        (["classify-ode", "y' = (y^2 - 100000000380000000361)/(y*(y-1))"],
+         "reasons", "residues at -10000000019 and 10000000019"),
+        # a semiprime: the quadratic is irreducible, so the field is verified
+        (["classify-ode", "y' = y over Q(r: r^2-10000000019*10000000033)"],
+         "base", "Q(r)"),
+    ])
+    def test_quadratic_with_large_constant_term_finishes(self, argv, key, expected):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pfaffkit.cli", *argv],
+            capture_output=True, text=True, check=False, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stdout
+        doc = json.loads(proc.stdout)
+        assert expected in json.dumps(doc[key])
+        assert doc.get("provenance") == []
+
     def test_closed_stdout_keeps_exit_code(self):
         read_end, write_end = os.pipe()
         os.close(read_end)

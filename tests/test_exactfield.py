@@ -11,9 +11,18 @@ from pfaffkit.errors import (
     NotMonic,
     ReduciblePolynomial,
 )
-from pfaffkit.exactfield import UniPoly, extract_linear_roots, scalar_sqrt
+from pfaffkit.diffalg import RatFunc
+from pfaffkit.exactfield import (
+    UniPoly,
+    _rational_roots,
+    _reduce_mod,
+    dense_divmod,
+    dense_gcd,
+    extract_linear_roots,
+    scalar_sqrt,
+)
 
-from conftest import rand_scalar, rand_unipoly
+from conftest import rand_fraction, rand_scalar, rand_unipoly
 
 
 class TestNumberFieldConstruction:
@@ -215,6 +224,229 @@ class TestLongDivision:
             assert a // b == q and a % b == r
 
 
+# Test-only copies of the loops that dense_divmod and dense_gcd replaced:
+# the Fraction-list division, gcd and reduction of scalars, and the gcd and
+# exact division of univariate differential rational functions.
+
+def ref_qdivmod(a, b):
+    """Fraction-list long division that trims the remainder after each step."""
+    rem = list(a)
+    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    inv_lead = 1 / b[-1]
+    while len(rem) >= len(b):
+        k = len(rem) - len(b)
+        f = rem[-1] * inv_lead
+        quo[k] = f
+        for i, c in enumerate(b):
+            rem[i + k] -= f * c
+        while rem and not rem[-1]:
+            rem.pop()
+    return trimmed(quo), rem
+
+
+def ref_qgcd(a, b):
+    a, b = list(a), list(b)
+    while b:
+        _, r = ref_qdivmod(a, b)
+        a, b = b, r
+    if a:
+        lead = a[-1]
+        a = [c / lead for c in a]
+    return a
+
+
+def ref_reduce_mod(cs, minpoly):
+    cs = list(cs)
+    deg = len(minpoly) - 1
+    while len(cs) > deg:
+        lead = cs.pop()
+        if not lead:
+            continue
+        k = len(cs) - deg
+        for i in range(deg):
+            cs[i + k] -= lead * minpoly[i]
+    return cs
+
+
+def ref_dmod(x, y):
+    """Remainder of the differential-rational-function gcd loop."""
+    x = list(x)
+    inv = y[-1].inverse()
+    while len(x) >= len(y) and x:
+        k = len(x) - len(y)
+        f = x[-1] * inv
+        for i, c in enumerate(y):
+            x[i + k] = x[i + k] - f * c
+        while x and x[-1].is_zero():
+            x.pop()
+    return x
+
+
+def ref_dense_gcd(a, b):
+    a, b = trimmed(a), trimmed(b)
+    while b:
+        a, b = b, ref_dmod(a, b)
+    if a:
+        inv = a[-1].inverse()
+        a = [c * inv for c in a]
+    return a
+
+
+def ref_exact_div(a, b):
+    """Quotient of an exact division, as the differential-rational-function loop took it."""
+    out = [a[0] - a[0] for _ in range(len(a) - len(b) + 1)]
+    a = list(a)
+    inv = b[-1].inverse()
+    while a and len(a) >= len(b):
+        k = len(a) - len(b)
+        f = a[-1] * inv
+        out[k] = f
+        for i, c in enumerate(b):
+            a[i + k] = a[i + k] - f * c
+        while a and a[-1].is_zero():
+            a.pop()
+    return out
+
+
+def is_zero(c):
+    return not c if isinstance(c, Fraction) else c.is_zero()
+
+
+def trimmed(cs):
+    cs = list(cs)
+    while cs and is_zero(cs[-1]):
+        cs.pop()
+    return cs
+
+
+def list_mul(a, b):
+    if not a or not b:
+        return []
+    out = [b[0] - b[0]] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return trimmed(out)
+
+
+def list_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return trimmed([x + b[i] if i < len(b) else x for i, x in enumerate(a)])
+
+
+def rand_ratfunc(rng):
+    num = UniPoly(None, [rand_fraction(rng, 4) for _ in range(2)])
+    den = UniPoly(None, [rand_fraction(rng, 4, nonzero=True), rand_fraction(rng, 4)])
+    return RatFunc(num, den)
+
+
+def rand_coeffs(rng, make, max_deg, nonzero=False):
+    while True:
+        cs = trimmed([make(rng) for _ in range(rng.randint(0, max_deg) + 1)])
+        if cs or not nonzero:
+            return cs
+
+
+class TestDenseKernel:
+    """dense_divmod and dense_gcd against the loops they replaced."""
+
+    def check_division(self, a, b, inv):
+        q, r = dense_divmod(a, b, inv(b[-1]))
+        q, r = trimmed(q), trimmed(r)
+        assert list_add(list_mul(q, b), r) == trimmed(a)
+        assert len(r) < len(b)
+        return q, r
+
+    def check_gcd(self, a, b, common):
+        g = dense_gcd(a, b)
+        assert g == ref_dense_gcd(a, b)
+        assert dense_gcd(a + [common[0] - common[0]], b) == g  # zero leading entry
+        if g:
+            assert g[-1] == 1
+            assert not trimmed(dense_divmod(a, g, g[-1])[1])
+            assert not trimmed(dense_divmod(b, g, g[-1])[1])
+            # the common factor divides the gcd
+            assert not trimmed(dense_divmod(g, common, common[-1].inverse())[1])
+        return g
+
+    def pairs(self, rng, make, count, max_deg):
+        out = []
+        while len(out) < count:
+            common = rand_coeffs(rng, make, 2, nonzero=True)
+            a = list_mul(rand_coeffs(rng, make, max_deg), common)
+            b = list_mul(rand_coeffs(rng, make, max_deg, nonzero=True), common)
+            out.append((a, b, common))
+        return out
+
+    def test_over_q_against_fraction_loops(self):
+        rng = random.Random(311)
+        q = pk.AlgebraicScalar.rational
+        for a, b, common in self.pairs(rng, lambda r: rand_fraction(r, 5), 200, 4):
+            quo, rem = self.check_division(a, b, lambda c: 1 / c)
+            assert (quo, rem) == ref_qdivmod(a, b)
+            g = self.check_gcd([q(c) for c in a], [q(c) for c in b], [q(c) for c in common])
+            assert [c.coords[0] for c in g] == ref_qgcd(a, b)
+
+    def test_over_qsqrt2_against_reference_loops(self, sqrt2):
+        rng = random.Random(312)
+        pairs = self.pairs(rng, lambda r: rand_scalar(r, sqrt2, 4), 120, 3)
+        for a, b, common in pairs:
+            quo, rem = self.check_division(a, b, lambda c: c.inverse())
+            assert rem == ref_dmod(a, b)
+            assert (UniPoly(sqrt2, quo), UniPoly(sqrt2, rem)) == reference_divmod(
+                UniPoly(sqrt2, a), UniPoly(sqrt2, b))
+            assert quo == trimmed(ref_exact_div(list_mul(quo, b), b))
+            self.check_gcd(a, b, common)
+
+    def test_over_kt_against_reference_loops(self):
+        rng = random.Random(313)
+        for a, b, common in self.pairs(rng, rand_ratfunc, 15, 2):
+            quo, rem = self.check_division(a, b, lambda c: c.inverse())
+            assert rem == ref_dmod(a, b)
+            assert quo == trimmed(ref_exact_div(list_mul(quo, b), b))
+            self.check_gcd(a, b, common)
+
+    def test_scalar_reduction_against_fraction_loop(self, sqrt2, cbrt2):
+        rng = random.Random(314)
+        for field in (sqrt2, cbrt2):
+            for _ in range(200):
+                cs = [rand_fraction(rng, 9) for _ in range(rng.randint(0, 2 * field.degree))]
+                assert _reduce_mod(cs, field.minpoly) == ref_reduce_mod(cs, field.minpoly)
+
+
+class TestSympyOracle:
+    @pytest.mark.parametrize("use_field", [False, True])
+    def test_gcd_and_divmod_match_sympy(self, sqrt2, use_field):
+        sympy = pytest.importorskip("sympy")
+        field = sqrt2 if use_field else None
+        domain = sympy.QQ.algebraic_field(sympy.sqrt(2)) if use_field else sympy.QQ
+        x = sympy.Symbol("x")
+
+        def to_sympy(p):
+            expr = sympy.Integer(0)
+            for i, c in enumerate(p.coeffs):
+                value = sum(
+                    sympy.Rational(q.numerator, q.denominator) * sympy.sqrt(2) ** j
+                    for j, q in enumerate(c.coords)
+                )
+                expr += value * x ** i
+            return sympy.Poly(expr, x, domain=domain)
+
+        rng = random.Random(315)
+        for _ in range(25):
+            common = rand_unipoly(rng, field, max_deg=2)
+            p = rand_unipoly(rng, field, max_deg=3) * common
+            q = rand_unipoly(rng, field, max_deg=3) * common
+            if q.is_zero():
+                continue
+            sp, sq = to_sympy(p), to_sympy(q)
+            quo, rem = divmod(p, q)
+            s_quo, s_rem = sp.div(sq)
+            assert (to_sympy(quo), to_sympy(rem)) == (s_quo, s_rem)
+            assert to_sympy(pk.poly_gcd(p, q)) == sp.gcd(sq).monic()
+
+
 class TestSqrtAndRoots:
     def test_rational_square(self):
         s = scalar_sqrt(pk.AlgebraicScalar.rational(Fraction(9, 4)))
@@ -252,6 +484,32 @@ class TestSqrtAndRoots:
         assert as_dict[sqrt2.scalar(-3)] == 1
         assert as_dict[th] == 1
         assert as_dict[1 - th] == 1
+
+    def test_quadratic_roots_match_candidate_search(self):
+        rng = random.Random(316)
+        for _ in range(300):
+            if rng.random() < 0.5:  # (a x - b)(c x - d): rational roots
+                a, c = rng.randint(1, 6), rng.randint(1, 6)
+                b, d = rng.randint(-6, 6), rng.randint(-6, 6)
+                cs = [b * d, -(a * d + b * c), a * c]
+            else:
+                cs = [rng.randint(-30, 30), rng.randint(-30, 30), rng.randint(1, 30)]
+            scale = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+            cs = [Fraction(c) * scale for c in cs]
+            # a nonzero rational root p/q has p | the lowest nonzero integer
+            # coefficient and q | the leading one
+            ints = [int(c / scale) for c in cs]
+            low = next((c for c in ints if c), 1)
+            candidates = {Fraction(0)} | {
+                Fraction(s * p, q)
+                for p in range(1, abs(low) + 1) if low % p == 0
+                for q in range(1, ints[2] + 1) if ints[2] % q == 0
+                for s in (1, -1)
+            }
+            expected = sorted(
+                r for r in candidates if cs[2] * r * r + cs[1] * r + cs[0] == 0
+            )
+            assert _rational_roots(cs) == expected, cs
 
     def test_extract_roots_leaves_irreducible_quadratic(self):
         x = UniPoly.x(None)
