@@ -1,17 +1,22 @@
 """Exact arithmetic over Q and simple number fields Q(theta).
 
-This is the coefficient domain for every criterion in the package.
-Rationals are ``fractions.Fraction``; elements of a declared extension
-Q(theta) are coordinate vectors reduced modulo a monic defining
-polynomial.  Every operation returns a fully reduced canonical
-representative, so ``==`` is structural equality and all values are
-safe to share between threads.
+This is the coefficient domain for every criterion in the package.  A
+scalar (``AlgebraicScalar``) of Q(theta), theta of degree d, is a vector
+of d Python ints over one positive common denominator: the value is
+``(nums[0] + nums[1]*theta + ... + nums[d-1]*theta^(d-1)) / den``, as in
+FLINT's ``nf_elem`` (Cohen, A Course in Computational Algebraic Number
+Theory, 4.2).  Rationals are the case d = 1.  Every operation works on
+ints and returns the canonical representative (``gcd(den, *nums) == 1``),
+so ``==`` is structural equality and all values are safe to share between
+threads; ``coords`` gives the coordinates as ``fractions.Fraction``.  Q
+and degree 2 have closed forms; higher degrees reduce by the integer
+defining polynomial and invert by fraction-free elimination.
 
 Long division and the Euclidean gcd are written once, on coefficient
 lists (``dense_divmod``, ``dense_gcd``), for every coefficient type the
-package uses: the Q[theta] reduction of scalars, ``UniPoly`` over Q(theta)
-and the univariate reduction of differential rational functions over K
-and K(t).
+package uses: ``UniPoly`` over Q(theta), the univariate reduction of
+differential rational functions over K and K(t), and the Fraction and
+integer lists of defining polynomials and rational-root finding.
 
 Only simple extensions are supported (one generator, no towers), which
 covers every concrete irrationality condition the verdict engine needs.
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import (
     DivisionByZero,
@@ -90,131 +95,98 @@ def dense_gcd(a, b):
     return a
 
 
-# Fraction lists are the coordinate arithmetic of Q[theta] behind scalars
+def _over_common_denominator(cs):
+    """Rationals ``cs`` as ``(nums, den)``: integer numerators over their lcm.
 
-def _qtrim(cs):
+    No factor of ``den`` divides every numerator.
+    """
+    den = lcm(*(c.denominator for c in cs))
+    return tuple(c.numerator * (den // c.denominator) for c in cs), den
+
+
+# ---------------------------------------------------------------------------
+# rational roots, found without factoring any coefficient
+
+def _primitive(cs):
+    """The primitive integer multiple of a rational coefficient list.
+
+    Trailing zeros are dropped and the leading coefficient is made
+    positive; an all-zero list gives ``[]``.
+    """
+    cs = list(cs)
     while cs and not cs[-1]:
         cs.pop()
-    return cs
-
-
-def _qadd(a, b):
-    n = max(len(a), len(b))
-    out = [_Q0] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _qtrim(out)
-
-
-def _qneg(a):
-    return [-c for c in a]
-
-
-def _qmul(a, b):
-    if not a or not b:
+    if not cs:
         return []
-    out = [_Q0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _qtrim(out)
+    ints = _over_common_denominator(cs)[0]
+    g = gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    return [c // g for c in ints]
 
 
-def _qxgcd(a, b):
-    """Extended Euclid in Q[x]: returns (g, u, v) with u*a + v*b = g."""
-    r0, r1 = list(a), list(b)
-    u0, u1 = [_Q1], []
-    v0, v1 = [], [_Q1]
-    while r1:
-        q, r = dense_divmod(r0, r1, 1 / r1[-1])
-        r0, r1 = r1, _qtrim(r)
-        u0, u1 = u1, _qadd(u0, _qneg(_qmul(q, u1)))
-        v0, v1 = v1, _qadd(v0, _qneg(_qmul(q, v1)))
-    return r0, u0, v0
+def _integer_gcd(a, b):
+    """A gcd of two integer coefficient lists, up to a rational factor.
+
+    Euclid over Q, each remainder made primitive so that the coefficients
+    stay small.
+    """
+    while b:
+        a, b = b, _primitive(dense_divmod(a, b, Fraction(1, b[-1]))[1])
+    return a
 
 
-def _qeval(a, x):
-    acc = _Q0
-    for c in reversed(a):
+def _integer_eval(cs, x):
+    acc = 0
+    for c in reversed(cs):
         acc = acc * x + c
     return acc
 
 
-def _is_probable_prime(n):
-    # deterministic Miller-Rabin for n < 3.3e24
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
+def _integer_roots(g):
+    """Integer roots of a monic squarefree integer polynomial (Loos 1983).
+
+    Every integer root is a root modulo each prime p.  At a prime where
+    every root modulo p is simple, Newton's iteration lifts each one to
+    the only root modulo p^(2^k) above it, until the modulus passes twice
+    the Cauchy bound on the roots; the symmetric residue is then tested
+    exactly.
+    """
+    dg = [i * c for i, c in enumerate(g)][1:]
+    bound = 1 + max(abs(c) for c in g[:-1])
+    p = 1
+    while True:
+        p += 1
+        if any(p % q == 0 for q in range(2, isqrt(p) + 1)):
             continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _divisors(n):
-    n = abs(n)
-    if n == 0:
-        return [1]
-    factors = {}
-    m = n
-    p = 2
-    while p * p <= m and p < 10 ** 6:
-        while m % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            m //= p
-        p += 1 if p == 2 else 2
-    while m > 1:
-        if _is_probable_prime(m):
-            factors[m] = factors.get(m, 0) + 1
+        gp = [c % p for c in g]
+        roots = [r for r in range(p) if _integer_eval(gp, r) % p == 0]
+        # g is squarefree, so only the finitely many primes dividing its
+        # discriminant fail this
+        if all(_integer_eval(dg, r) % p for r in roots):
             break
-        # slow path for huge composite cofactors; inputs this size do not
-        # occur in practice
-        q = p
-        while m % q:
-            q += 1
-        factors[q] = factors.get(q, 0) + 1
-        m //= q
-    divs = [1]
-    for prime, mult in factors.items():
-        divs = [d * prime ** e for d in divs for e in range(mult + 1)]
-    return sorted(divs)
+    out = []
+    for z in roots:
+        m = p
+        while m <= 2 * bound:
+            m *= m
+            z = (z - _integer_eval(g, z) * pow(_integer_eval(dg, z), -1, m)) % m
+        if z > m // 2:
+            z -= m
+        if _integer_eval(g, z) == 0:
+            out.append(z)
+    return out
 
 
 def _rational_roots(cs):
     """All rational roots of a nonzero polynomial with Fraction coefficients."""
-    cs = list(cs)
-    if not _qtrim(list(cs)):
+    ints = _primitive(cs)
+    if not ints:
         raise ValueError("zero polynomial has every rational root")
-    # clear denominators to get integer coefficients
-    den_lcm = 1
-    for c in cs:
-        den_lcm = den_lcm * c.denominator // _gcd_int(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in cs]
-    while ints and ints[-1] == 0:
-        ints.pop()
     roots = set()
-    k = 0
-    while ints and ints[0] == 0:
+    while ints[0] == 0:
         roots.add(_Q0)
         ints = ints[1:]
-        k += 1
     if len(ints) <= 1:
         return sorted(roots)
     # degree <= 2 is decided exactly, without factoring the constant term
@@ -228,19 +200,16 @@ def _rational_roots(cs):
         if s * s == disc:
             roots.update((Fraction(-b + s, 2 * a), Fraction(-b - s, 2 * a)))
         return sorted(roots)
-    a0, an = ints[0], ints[-1]
-    for p in _divisors(a0):
-        for q in _divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if _qeval([Fraction(c) for c in ints], cand) == 0:
-                    roots.add(cand)
+    # the squarefree part f has the same roots; g(z) = a^(n-1) f(z/a) is
+    # monic with integer coefficients, and its integer roots are a times
+    # the rational roots of f
+    common = _integer_gcd(ints, [i * c for i, c in enumerate(ints)][1:])
+    if len(common) > 1:
+        ints = _primitive(dense_divmod(ints, common, Fraction(1, common[-1]))[0])
+    a, n = ints[-1], len(ints) - 1
+    g = [c * a ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
+    roots.update(Fraction(z, a) for z in _integer_roots(g))
     return sorted(roots)
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a if a else 1
 
 
 def _fraction_sqrt(q):
@@ -259,18 +228,25 @@ def _fraction_sqrt(q):
 class NumberField:
     """A simple extension Q(theta), theta a root of a monic polynomial.
 
+    ``minpoly`` holds the Fraction coefficients of the defining
+    polynomial, lowest first; ``minpoly_nums`` and ``minpoly_den`` hold
+    its integer form, ``minpoly[i] == minpoly_nums[i] / minpoly_den`` for
+    ``i < degree`` (the leading coefficient is 1).
+
     ``irreducibility_status`` is ``"verified"`` when the defining
     polynomial passed the squarefree check and (degree <= 3) the
     rational-root check; otherwise it is ``"asserted"`` and the caller
     vouches for irreducibility.
     """
 
-    __slots__ = ("minpoly", "name", "irreducibility_status")
+    __slots__ = ("minpoly", "name", "irreducibility_status", "minpoly_nums", "minpoly_den")
 
     def __init__(self, minpoly, name, irreducibility_status):
         self.minpoly = tuple(minpoly)  # Fraction coefficients, lowest first, monic
         self.name = name
         self.irreducibility_status = irreducibility_status
+        nums, self.minpoly_den = _over_common_denominator(self.minpoly)
+        self.minpoly_nums = nums[:-1]  # the leading one is minpoly_den
 
     @property
     def degree(self):
@@ -278,9 +254,9 @@ class NumberField:
 
     def gen(self):
         """The generator theta as a scalar of this field."""
-        coords = [_Q0] * self.degree
-        coords[1 if self.degree > 1 else 0] = _Q1
-        return AlgebraicScalar(self, tuple(coords))
+        nums = [0] * self.degree
+        nums[1 if self.degree > 1 else 0] = 1
+        return AlgebraicScalar(self, tuple(nums), 1)
 
     def scalar(self, *coords):
         """Scalar with the given coordinates (padded with zeros)."""
@@ -288,7 +264,7 @@ class NumberField:
         if len(cs) > self.degree:
             cs = _reduce_mod(cs, self.minpoly)
         cs = cs + [_Q0] * (self.degree - len(cs))
-        return AlgebraicScalar(self, tuple(cs))
+        return AlgebraicScalar(self, *_over_common_denominator(cs))
 
     def zero(self):
         return self.scalar()
@@ -348,32 +324,42 @@ def nf_new(minpoly, name="r"):
 class AlgebraicScalar:
     """An exact element of Q or of a declared Q(theta).
 
-    ``field`` is ``None`` for plain rationals; ``coords`` always has
-    length ``deg`` (1 for rationals) and is fully reduced, so equality
-    is coordinatewise.
+    The value is ``(nums[0] + nums[1]*theta + ... + nums[d-1]*theta^(d-1)) / den``
+    in Python ints, where ``d`` is the degree of ``field`` (``field`` is
+    ``None`` and ``d`` is 1 for rationals).  ``den > 0`` and
+    ``gcd(den, *nums) == 1``, so zero is all zeros over 1 and equality is
+    structural.  ``coords`` gives the same value as a tuple of Fractions.
     """
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "nums", "den")
 
-    def __init__(self, field, coords):
+    def __init__(self, field, nums, den):
         self.field = field
-        self.coords = coords
+        self.nums = nums
+        self.den = den
+
+    @property
+    def coords(self):
+        """The coordinates as Fractions, constant term first."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
 
     # -- construction / coercion
 
     @staticmethod
     def rational(q):
-        return AlgebraicScalar(None, (Fraction(q),))
+        if not isinstance(q, int):
+            q = Fraction(q)
+        return AlgebraicScalar(None, (q.numerator,), q.denominator)
 
     def lift(self, field):
         """Same value viewed in ``field`` (rationals embed everywhere)."""
-        if self.field == field:
-            return self
         if self.field is None:
             if field is None:
                 return self
-            coords = (self.coords[0],) + (_Q0,) * (field.degree - 1)
-            return AlgebraicScalar(field, coords)
+            return AlgebraicScalar(field, self.nums + (0,) * (field.degree - 1), self.den)
+        if self.field == field:
+            return self
         raise FieldMismatch(
             f"cannot move a Q({self.field.name}) value into another field"
         )
@@ -387,15 +373,17 @@ class AlgebraicScalar:
         return None
 
     def _pair(self, other):
-        b = AlgebraicScalar._coerce(other)
+        b = other if other.__class__ is AlgebraicScalar else AlgebraicScalar._coerce(other)
         if b is None:
             return None, None
-        if self.field == b.field:
+        if b.field is self.field:
             return self, b
         if self.field is None:
             return self.lift(b.field), b
         if b.field is None:
             return self, b.lift(self.field)
+        if self.field == b.field:
+            return self, b
         raise FieldMismatch(
             f"mixing Q({self.field.name}) and Q({b.field.name}) values"
         )
@@ -403,13 +391,13 @@ class AlgebraicScalar:
     # -- queries
 
     def is_zero(self):
-        return all(not c for c in self.coords)
+        return not any(self.nums)
 
     def is_rational(self):
         """The value as a Fraction when it lies in Q, else None."""
-        if any(self.coords[1:]):
+        if any(self.nums[1:]):
             return None
-        return self.coords[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- arithmetic
 
@@ -417,18 +405,18 @@ class AlgebraicScalar:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        return AlgebraicScalar(a.field, tuple(x + y for x, y in zip(a.coords, b.coords)))
+        return _sum(a, b, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraicScalar(self.field, tuple(-c for c in self.coords))
+        return AlgebraicScalar(self.field, tuple(-n for n in self.nums), self.den)
 
     def __sub__(self, other):
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        return AlgebraicScalar(a.field, tuple(x - y for x, y in zip(a.coords, b.coords)))
+        return _sum(a, b, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -437,32 +425,63 @@ class AlgebraicScalar:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        if a.field is None:
-            return AlgebraicScalar(None, (a.coords[0] * b.coords[0],))
-        prod = _qmul(list(a.coords), list(b.coords))
-        red = _reduce_mod(prod, a.field.minpoly)
-        red += [_Q0] * (a.field.degree - len(red))
-        return AlgebraicScalar(a.field, tuple(red))
+        an, bn, da, db = a.nums, b.nums, a.den, b.den
+        if len(an) == 1:
+            x, y = an[0], bn[0]
+            # cancel across before multiplying, as Fraction does (Henrici 1956)
+            g = gcd(x, db)
+            if g > 1:
+                x //= g
+                db //= g
+            g = gcd(y, da)
+            if g > 1:
+                y //= g
+                da //= g
+            return AlgebraicScalar(a.field, (x * y,), da * db)
+        field = a.field
+        ms, lead = field.minpoly_nums, field.minpoly_den
+        if len(an) == 2:
+            (a0, a1), (b0, b1), (m0, m1) = an, bn, ms
+            top = a1 * b1
+            # theta^2 = -(m1*theta + m0)/lead
+            n0 = lead * a0 * b0 - m0 * top
+            n1 = lead * (a0 * b1 + a1 * b0) - m1 * top
+            den = lead * da * db
+            g = gcd(n0, n1, den)
+            if g != 1:
+                n0, n1, den = n0 // g, n1 // g, den // g
+            return AlgebraicScalar(field, (n0, n1), den)
+        nums, scale = _product_mod(an, bn, ms, lead)
+        return _canonical(field, nums, scale * da * db)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero():
             raise DivisionByZero("scalar inverse of zero")
-        if self.field is None:
-            return AlgebraicScalar(None, (1 / self.coords[0],))
-        g, u, _ = _qxgcd(list(self.coords), list(self.field.minpoly))
-        if len(g) != 1:
+        nums, den, field = self.nums, self.den, self.field
+        if len(nums) == 1:
+            n = nums[0]
+            return AlgebraicScalar(field, (den,), n) if n > 0 else AlgebraicScalar(field, (-den,), -n)
+        ms, lead = field.minpoly_nums, field.minpoly_den
+        if len(nums) == 2:
+            (a0, a1), (m0, m1) = nums, ms
+            # (a0 + a1*theta)*(lead*a0 - m1*a1 - lead*a1*theta) is the rational norm
+            norm = lead * a0 * a0 - m1 * a0 * a1 + m0 * a1 * a1
+            inv = (den * (lead * a0 - m1 * a1), -den * lead * a1)
+        else:
+            inv, norm = _inverse_mod(nums, ms, lead)
+            inv = tuple(den * c for c in inv)
+        if not norm:
             # only reachable when an asserted defining polynomial is in
-            # fact reducible; the gcd is a witness factor
+            # fact reducible: the value is a zero divisor
             raise ReduciblePolynomial(
                 "zero divisor found: the asserted defining polynomial of "
-                f"Q({self.field.name}) is reducible"
+                f"Q({field.name}) is reducible"
             )
-        inv = [c / g[0] for c in u]
-        inv = _reduce_mod(inv, self.field.minpoly)
-        inv += [_Q0] * (self.field.degree - len(inv))
-        return AlgebraicScalar(self.field, tuple(inv))
+        if norm < 0:
+            inv, norm = tuple(-c for c in inv), -norm
+        return _canonical(field, inv, norm)
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -495,15 +514,15 @@ class AlgebraicScalar:
         if b is None:
             return NotImplemented
         try:
-            a, b = self._pair(other)
+            a, b = self._pair(b)
         except FieldMismatch:
             return False
-        return a.coords == b.coords
+        return a.nums == b.nums and a.den == b.den
 
     def __hash__(self):
-        if self.is_rational() is not None:
-            return hash(self.coords[0])
-        return hash((self.field, self.coords))
+        if any(self.nums[1:]):
+            return hash((self.field, self.nums, self.den))
+        return hash(Fraction(self.nums[0], self.den))
 
     def __repr__(self):
         return f"<{self}>"
@@ -511,6 +530,110 @@ class AlgebraicScalar:
     def __str__(self):
         name = self.field.name if self.field else "?"
         return poly_str_fractions(self.coords, name)
+
+
+def _canonical(field, nums, den):
+    """The scalar nums/den for ``den > 0``, with the common factor removed."""
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = tuple(n // g for n in nums)
+        den //= g
+    return AlgebraicScalar(field, nums, den)
+
+
+def _sum(a, b, sign):
+    """a + sign*b for scalars of one field, as ``Fraction`` adds.
+
+    Over the lcm of the two denominators only a factor of their gcd can
+    be common to the result (Knuth, TAOCP 4.5.1).
+    """
+    an, bn, da, db = a.nums, b.nums, a.den, b.den
+    g = gcd(da, db)
+    if len(an) == 1:
+        x, y = an[0], bn[0] if sign > 0 else -bn[0]
+        if g == 1:
+            return AlgebraicScalar(a.field, (x * db + y * da,), da * db)
+        s = da // g
+        t = x * (db // g) + y * s
+        g2 = gcd(t, g)
+        if g2 == 1:
+            return AlgebraicScalar(a.field, (t,), s * db)
+        return AlgebraicScalar(a.field, (t // g2,), s * (db // g2))
+    s, u = da // g, db // g
+    sy = s if sign > 0 else -s
+    t = tuple(x * u + y * sy for x, y in zip(an, bn))
+    g2 = gcd(g, *t)
+    if g2 != 1:
+        t = tuple(v // g2 for v in t)
+    return AlgebraicScalar(a.field, t, s * (db // g2))
+
+
+def _product_mod(an, bn, ms, lead):
+    """Product of two integer coordinate vectors modulo the defining polynomial.
+
+    ``ms`` and ``lead`` are the integer defining polynomial.  Returns
+    ``(nums, scale)``, the product being ``nums / scale``: every reduction
+    step multiplies by ``lead``, and there is none when ``lead`` is 1.
+    """
+    d = len(an)
+    prod = [0] * (2 * d - 1)
+    for i, x in enumerate(an):
+        if x:
+            for j, y in enumerate(bn):
+                prod[i + j] += x * y
+    scale = 1
+    for k in range(2 * d - 2, d - 1, -1):
+        top = prod.pop()
+        if not top:
+            continue
+        if lead != 1:
+            prod = [lead * c for c in prod]
+            scale *= lead
+        # lead*theta^k = -top*theta^(k-d)*(ms[0] + ... + ms[d-1]*theta^(d-1))
+        for i, m in enumerate(ms, k - d):
+            prod[i] -= top * m
+    return tuple(prod), scale
+
+
+def _inverse_mod(nums, ms, lead):
+    """Inverse of the integer coordinate vector ``nums`` as ``(inv, norm)``.
+
+    Solves M*y = e_0 for the multiplication-by-``nums`` matrix M by
+    fraction-free elimination (Bareiss 1968), all in integers.  The inverse
+    is ``inv / norm``; ``norm`` is 0 when M is singular.
+    """
+    d = len(nums)
+    # column j is nums*theta^j, scaled to integers by scales[j]
+    cols, scales = [], []
+    col, scale = list(nums), 1
+    for _ in range(d):
+        cols.append(col)
+        scales.append(scale)
+        top = col[-1]
+        col = [0] + col[:-1]
+        if top:
+            if lead != 1:
+                col = [lead * c for c in col]
+                scale *= lead
+            col = [c - top * m for c, m in zip(col, ms)]
+    rows = [[c[i] for c in cols] + [int(i == 0)] for i in range(d)]
+    prev = 1
+    for k in range(d):
+        piv = next((i for i in range(k, d) if rows[i][k]), None)
+        if piv is None:
+            return (), 0
+        rows[k], rows[piv] = rows[piv], rows[k]
+        rk, pk = rows[k], rows[k][k]
+        for i in range(k + 1, d):
+            ri, f = rows[i], rows[i][k]
+            rows[i] = [0] * (k + 1) + [(pk * ri[j] - f * rk[j]) // prev for j in range(k + 1, d + 1)]
+        prev = pk
+    # det*y is integral (Cramer), so each back-substitution division is exact
+    det, ys = prev, [0] * d
+    for i in range(d - 1, -1, -1):
+        acc = det * rows[i][d] - sum(rows[i][j] * ys[j] for j in range(i + 1, d))
+        ys[i] = acc // rows[i][i]
+    return tuple(y * s for y, s in zip(ys, scales)), det
 
 
 def poly_str_fractions(coords, varname):
@@ -834,9 +957,9 @@ def _mono_str_uni(varname, i):
 
 def scalar_display_negative(c):
     """True when the canonical rendering of ``c`` starts with a minus sign."""
-    for coord in reversed(c.coords):
-        if coord:
-            return coord < 0
+    for n in reversed(c.nums):
+        if n:
+            return n < 0
     return False
 
 
@@ -923,9 +1046,8 @@ def extract_linear_roots(p):
         changed = False
         coord_poly = None
         for j in range(1 if rem.field is None else rem.field.degree):
-            cs = [c.coords[j] for c in rem.coeffs]
-            if any(cs):
-                coord_poly = cs
+            if any(c.nums[j] for c in rem.coeffs):
+                coord_poly = [Fraction(c.nums[j], c.den) for c in rem.coeffs]
                 break
         for r in _rational_roots(coord_poly):
             root = AlgebraicScalar.rational(r)

@@ -328,6 +328,23 @@ class TestExitCodes:
         assert expected in json.dumps(doc[key])
         assert doc.get("provenance") == []
 
+    @pytest.mark.parametrize("text", [
+        # 100000000520000000627 = 10000000019 * 10000000033
+        "y' = y - r over Q(r: r^3-100000000520000000627)",
+        "y' = (y^3 - 100000000520000000627)/(y*(y-1))",
+        "y' = (100000000520000000627*y^3 - 1)/(y*(y-1))",
+    ])
+    def test_cubic_with_semiprime_coefficient_finishes(self, text):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pfaffkit.cli", "classify-ode", text],
+            capture_output=True, text=True, check=False, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stdout
+        doc = json.loads(proc.stdout)
+        assert "error" not in doc
+        # the cubic field is verified irreducible, not asserted
+        assert doc["provenance"] == []
+
     def test_closed_stdout_keeps_exit_code(self):
         read_end, write_end = os.pipe()
         os.close(read_end)

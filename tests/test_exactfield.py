@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -13,6 +14,7 @@ from pfaffkit.errors import (
 )
 from pfaffkit.diffalg import RatFunc
 from pfaffkit.exactfield import (
+    AlgebraicScalar,
     UniPoly,
     _rational_roots,
     _reduce_mod,
@@ -415,6 +417,145 @@ class TestDenseKernel:
                 assert _reduce_mod(cs, field.minpoly) == ref_reduce_mod(cs, field.minpoly)
 
 
+# Test-only copies of the Fraction-coordinate scalar arithmetic that the
+# integer representation replaced: schoolbook product and reduction for
+# ``*``, coordinatewise ``+`` and an extended Euclid for ``inverse``.
+
+def ref_qxgcd(a, b):
+    """Extended Euclid in Q[x]: (g, u) with u*a = g modulo b."""
+    r0, r1 = trimmed(a), trimmed(b)
+    u0, u1 = [Fraction(1)], []
+    while r1:
+        q, r = ref_qdivmod(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, list_add(u0, [-c for c in list_mul(q, u1)])
+    return r0, u0
+
+
+def padded(field, cs):
+    return list(cs) + [Fraction(0)] * ((field.degree if field else 1) - len(cs))
+
+
+def ref_mul(field, a, b):
+    if field is None:
+        return [a[0] * b[0]]
+    return padded(field, _reduce_mod(list_mul(list(a), list(b)), field.minpoly))
+
+
+def ref_add(a, b):
+    return [x + y for x, y in zip(a, b)]
+
+
+def ref_inverse(field, a):
+    if field is None:
+        return [1 / a[0]]
+    g, u = ref_qxgcd(a, field.minpoly)
+    if len(g) != 1:
+        raise ReduciblePolynomial("zero divisor")
+    return padded(field, _reduce_mod([c / g[0] for c in u], field.minpoly))
+
+
+def check_canonical(s, field):
+    assert s.field is field
+    assert len(s.nums) == (field.degree if field else 1)
+    assert all(type(n) is int for n in s.nums) and type(s.den) is int
+    assert s.den > 0 and gcd(s.den, *s.nums) == 1
+    if not any(s.nums):
+        assert s.den == 1
+
+
+INTEGER_FIELDS = {
+    "Q": None,
+    "Q(sqrt2)": pk.nf_new([-2, 0, 1]),
+    "Q(cbrt2)": pk.nf_new([-2, 0, 0, 1]),
+    # x^2 - x/2 - 1/3: the integer form 6x^2 - 3x - 2 has leading coefficient 6
+    "Q(denominators)": pk.nf_new([Fraction(-1, 3), Fraction(-1, 2), 1]),
+    # x^3 + x^2/3 - 1/2: reduction by 6x^3 + 2x^2 - 3 multiplies by 6 at each step
+    "Q(cubic denominators)": pk.nf_new([Fraction(-1, 2), 0, Fraction(1, 3), 1]),
+    "Q(x^4+2)": pk.nf_new([2, 0, 0, 0, 1]),
+}
+
+
+class TestIntegerScalar:
+    """The integer-vector scalars against the Fraction-coordinate reference."""
+
+    @pytest.mark.parametrize("name", list(INTEGER_FIELDS))
+    def test_matches_fraction_reference(self, name):
+        field = INTEGER_FIELDS[name]
+        rng = random.Random(f"integer-scalar/{name}")
+        for i in range(400):
+            span = 6 if i % 2 else 10 ** 9
+            a = rand_scalar(rng, field, span)
+            b = rand_scalar(rng, field, span)
+            ac, bc = list(a.coords), list(b.coords)
+            assert a.coords == tuple(padded(field, ac))
+            for got, want in (
+                (a * b, ref_mul(field, ac, bc)),
+                (a + b, ref_add(ac, bc)),
+                (a - b, ref_add(ac, [-c for c in bc])),
+                (-a, [-c for c in ac]),
+            ):
+                check_canonical(got, field)
+                assert got.coords == tuple(want)
+            if not a.is_zero():
+                inv = a.inverse()
+                check_canonical(inv, field)
+                assert inv.coords == tuple(ref_inverse(field, ac))
+
+    @pytest.mark.parametrize("name", list(INTEGER_FIELDS))
+    def test_zero_and_constructors_are_canonical(self, name):
+        field = INTEGER_FIELDS[name]
+        one = AlgebraicScalar.rational(1)
+        if field is not None:
+            one = one.lift(field)
+            check_canonical(field.zero(), field)
+            check_canonical(field.gen(), field)
+            check_canonical(field.scalar(Fraction(4, 6), Fraction(-3, 9)), field)
+            assert field.zero().nums == (0,) * field.degree and field.zero().den == 1
+        check_canonical(one - one, field)
+        assert (one - one).den == 1
+        half = one * Fraction(1, 2)
+        check_canonical(half + half - one, field)
+        assert (half + half - one).den == 1
+
+    def test_hash_of_rationals_is_the_fraction_hash(self, sqrt2):
+        for q in (0, 1, -3, Fraction(7, 12), Fraction(-10 ** 30, 7)):
+            s = AlgebraicScalar.rational(q)
+            assert hash(s) == hash(Fraction(q))
+            assert hash(s.lift(sqrt2)) == hash(Fraction(q))
+        table = {AlgebraicScalar.rational(Fraction(3, 4)): "found", sqrt2.gen(): "theta"}
+        assert table[Fraction(3, 4)] == "found"
+        assert table[sqrt2.scalar(0, 1)] == "theta"
+
+    def test_zero_divisor_of_reducible_asserted_quartic(self):
+        # x^4 - 5x^2 + 6 = (x^2 - 2)(x^2 - 3) is squarefree, so it is accepted
+        field = pk.nf_new([6, 0, -5, 0, 1])
+        assert field.irreducibility_status == "asserted"
+        th = field.gen()
+        with pytest.raises(ReduciblePolynomial, match="zero divisor"):
+            (th * th - 2).inverse()
+
+    @pytest.mark.parametrize("root, minpoly", [("sqrt", [-2, 0, 1]), ("cbrt", [-2, 0, 0, 1])])
+    def test_mul_and_inverse_match_sympy(self, root, minpoly):
+        sympy = pytest.importorskip("sympy")
+        gen = getattr(sympy, root)(2)
+        domain = sympy.QQ.algebraic_field(gen)
+        field = pk.nf_new(minpoly)
+
+        # gen itself generates the domain, so coordinates are in powers of gen
+        assert domain.mod.to_list() == [sympy.QQ(c) for c in reversed(minpoly)]
+
+        def to_domain(s):
+            return domain([sympy.QQ(c.numerator, c.denominator) for c in reversed(s.coords)])
+
+        rng = random.Random(f"sympy-scalar/{root}")
+        for _ in range(40):
+            a = rand_scalar(rng, field, 10 ** 4, nonzero=True)
+            b = rand_scalar(rng, field, 10 ** 4)
+            assert to_domain(a * b) == to_domain(a) * to_domain(b)
+            assert to_domain(a.inverse()) == domain.one / to_domain(a)
+
+
 class TestSympyOracle:
     @pytest.mark.parametrize("use_field", [False, True])
     def test_gcd_and_divmod_match_sympy(self, sqrt2, use_field):
@@ -517,3 +658,48 @@ class TestSqrtAndRoots:
         found, rem = extract_linear_roots(p)
         assert dict(found) == {pk.AlgebraicScalar.rational(1): 1}
         assert rem.degree == 2
+
+
+# primes above 10^6: trial division up to the smaller one is what hung
+PRIMES = (1000003, 1000033, 10000000019, 10000000033)
+
+
+class TestRationalRootsWithoutFactoring:
+    def test_cubic_with_semiprime_constant_is_verified(self):
+        field = pk.nf_new([-PRIMES[2] * PRIMES[3], 0, 0, 1])
+        assert field.irreducibility_status == "verified"
+
+    def test_repeated_and_zero_roots(self):
+        x = UniPoly.x(None)
+        p = x ** 2 * (3 * x - 1) ** 3 * (x + 2) * (x ** 2 + 1)
+        assert _rational_roots([c.is_rational() for c in p.coeffs]) == [
+            Fraction(-2), Fraction(0), Fraction(1, 3)]
+
+    @pytest.mark.parametrize("r", [9, -9, 3 ** 40, -(2 ** 61) - 1])
+    def test_root_at_the_cauchy_bound(self, r):
+        # (x - r)(x^2 + 1): the root lies one below the bound 1 + |r|
+        assert _rational_roots([Fraction(c) for c in (-r, 1, -r, 1)]) == [Fraction(r)]
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(317)
+        for _ in range(60):
+            roots = []
+            for _ in range(rng.randint(1, 3)):
+                if rng.random() < 0.3:
+                    p, q = rng.sample(PRIMES, 2)
+                    num, den = (p * q, 1) if rng.random() < 0.5 else (rng.randint(-9, 9), p * q)
+                else:
+                    num, den = rng.randint(-40, 40), rng.randint(1, 12)
+                roots.append(sympy.Rational(num, den))
+            p, q = rng.sample(PRIMES, 2)
+            irreducible = rng.choice([x ** 2 + p * q, x ** 3 - p * q, 5 * x ** 2 - 2 * x + p * q])
+            expr = irreducible * sympy.Rational(rng.randint(1, 9), rng.randint(1, 9))
+            for r in roots:
+                expr *= x - r
+            poly = sympy.Poly(expr, x)
+            assert 3 <= poly.degree() <= 6
+            cs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+            expected = sorted(Fraction(int(r.p), int(r.q)) for r in poly.ground_roots())
+            assert _rational_roots(cs) == expected, cs
