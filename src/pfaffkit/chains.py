@@ -30,7 +30,13 @@ from .errors import (
 from .diffalg import (
     DiffPoly,
     DiffRatFunc,
+    as_pair,
+    cleared_pair,
     from_unipoly,
+    pair_add,
+    pair_mul,
+    pair_sub,
+    ratio_str,
     substitute_cleared,
     to_unipoly,
 )
@@ -158,41 +164,12 @@ def combine(e1, e2, op):
     raise ValueError(f"unsupported combination {op!r}")
 
 
-def _derive_expr(chain, expr):
-    """Total derivative of an expression through the chain rules.
-
-    D(e) = sum_i (de/dy_i) P_i + e^delta; extends to quotients by the
-    quotient rule.  The result is a DiffPoly whenever everything in
-    sight is polynomial.
-    """
-    if isinstance(expr, DiffRatFunc):
-        dn = _derive_expr(chain, expr.num)
-        dd = _derive_expr(chain, expr.den)
-        dn = dn if isinstance(dn, DiffRatFunc) else DiffRatFunc.from_poly(dn)
-        dd = dd if isinstance(dd, DiffRatFunc) else DiffRatFunc.from_poly(dd)
-        num = dn * expr.den - dd * expr.num
-        return num / (DiffRatFunc.from_poly(expr.den) ** 2)
-    total = expr.coeff_derivation()
-    rational = False
-    for v, rule in zip(chain.variables, chain.rules):
-        part = expr.partial(v)
-        if part.is_zero():
-            continue
-        contrib = part * rule if isinstance(rule, DiffPoly) else DiffRatFunc.from_poly(part) * rule
-        if isinstance(contrib, DiffRatFunc):
-            rational = True
-            total = DiffRatFunc.from_poly(total) if isinstance(total, DiffPoly) else total
-        elif rational and isinstance(contrib, DiffPoly):
-            contrib = DiffRatFunc.from_poly(contrib)
-        total = total + contrib
-    return total
-
-
 def total_derivative(e):
     """D(e) as an element of the same chain; never extends the chain."""
     if e.chain.kind != "polynomial":
         raise MixedKinds("derivative closure is defined for polynomial chains only")
-    return ChainElement(e.chain, _derive_expr(e.chain, e.expr))
+    num, den = _derive_pair(e.chain, e.expr)
+    return ChainElement(e.chain, num if isinstance(e.expr, DiffPoly) else DiffRatFunc(num, den))
 
 
 def invert_element(e):
@@ -204,7 +181,7 @@ def invert_element(e):
     chain = e.chain
     new_vars = chain.variables + (f"y{chain.order + 1}",)
     z = DiffPoly.var(chain.base, new_vars, new_vars[-1])
-    de = _derive_expr(chain, e.expr).extend(new_vars)
+    de = total_derivative(e).expr.extend(new_vars)
     new_rule = -(z * z) * de
     extended = PfaffianChain(
         chain.base,
@@ -249,29 +226,6 @@ class VerifyResult:
         return self.ok
 
 
-# Verification works on *unreduced* numerator/denominator pairs: every
-# intermediate step is plain polynomial arithmetic and the final identity
-# is decided by cross multiplication.  Reducing along the way looks
-# cleaner but triggers severe coefficient blowup in the gcds.
-
-def _pair_of(expr):
-    if isinstance(expr, DiffRatFunc):
-        return expr.num, expr.den
-    return expr, DiffPoly.const(expr.base, expr.variables, 1)
-
-
-def _pair_add(a, b):
-    return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
-
-
-def _pair_sub(a, b):
-    return a[0] * b[1] - b[0] * a[1], a[1] * b[1]
-
-
-def _pair_mul(a, b):
-    return a[0] * b[0], a[1] * b[1]
-
-
 def _pair_eq(a, b):
     return (a[0] * b[1] - b[0] * a[1]).is_zero()
 
@@ -282,80 +236,29 @@ def _pair_witness(a, b):
     return DiffRatFunc(num, den)
 
 
-def _subst_pair(poly, pairs):
-    """Evaluate ``poly`` at per-variable (num, den) pairs, denominators cleared.
+def _derive_pair(chain, expr):
+    """D(expr) through the chain rules as one unreduced pair.
 
-    Exponents are homogenized against the per-variable maximum degree, so
-    the result is a single unreduced pair and no rational arithmetic is
-    needed on the way.
+    D(p) = sum_i (dp/dy_i) P_i + p^delta for a polynomial p, and the
+    quotient rule for a fraction N/D.
     """
-    variables = poly.variables
-    some = next(iter(pairs.values()))
-    t_base, t_vars = some[0].base, some[0].variables
-    one = DiffPoly.const(t_base, t_vars, 1)
-    maxdeg = [0] * len(variables)
-    for e in poly.terms:
-        for i, k in enumerate(e):
-            maxdeg[i] = max(maxdeg[i], k)
-    num_pows, den_pows = [], []
-    for i, v in enumerate(variables):
-        if maxdeg[i] == 0 or v not in pairs:
-            num_pows.append(None)
-            den_pows.append(None)
-            continue
-        n, d = pairs[v]
-        npow, dpow = [one], [one]
-        for _ in range(maxdeg[i]):
-            npow.append(npow[-1] * n)
-            dpow.append(dpow[-1] * d)
-        num_pows.append(npow)
-        den_pows.append(dpow)
-    total = DiffPoly.zero(t_base, t_vars)
-    for e, c in poly.terms.items():
-        term = DiffPoly.const(t_base, t_vars, c)
-        for i, k in enumerate(e):
-            if maxdeg[i] == 0:
+    rule_pairs = [as_pair(r) for r in chain.rules]
+
+    def derive_poly(p):
+        one = DiffPoly.const(p.base, p.variables, 1)
+        acc = (p.coeff_derivation(), one)
+        for v, rp in zip(chain.variables, rule_pairs):
+            part = p.partial(v)
+            if part.is_zero():
                 continue
-            if num_pows[i] is None:
-                raise ArityMismatch(
-                    f"no assignment for variable {variables[i]!r}"
-                )
-            term = term * num_pows[i][k] * den_pows[i][maxdeg[i] - k]
-        total = total + term
-    den = one
-    for i in range(len(variables)):
-        if den_pows[i] is not None:
-            den = den * den_pows[i][maxdeg[i]]
-    return total, den
+            acc = pair_add(acc, pair_mul((part, one), rp))
+        return acc
 
-
-def _subst_pair_any(rule, pairs):
-    if isinstance(rule, DiffRatFunc):
-        top = _subst_pair(rule.num, pairs)
-        bot = _subst_pair(rule.den, pairs)
-        return top[0] * bot[1], top[1] * bot[0]
-    return _subst_pair(rule, pairs)
-
-
-def _derive_poly_pair(chain, p, rule_pairs):
-    one = DiffPoly.const(p.base, p.variables, 1)
-    acc = (p.coeff_derivation(), one)
-    for v, rp in zip(chain.variables, rule_pairs):
-        part = p.partial(v)
-        if part.is_zero():
-            continue
-        acc = _pair_add(acc, _pair_mul((part, one), rp))
-    return acc
-
-
-def _derive_pair(chain, expr, rule_pairs):
     if isinstance(expr, DiffPoly):
-        return _derive_poly_pair(chain, expr, rule_pairs)
+        return derive_poly(expr)
     N, D = expr.num, expr.den
     one = DiffPoly.const(N.base, N.variables, 1)
-    dN = _derive_poly_pair(chain, N, rule_pairs)
-    dD = _derive_poly_pair(chain, D, rule_pairs)
-    num = _pair_sub(_pair_mul(dN, (D, one)), _pair_mul((N, one), dD))
+    num = pair_sub(pair_mul(derive_poly(N), (D, one)), pair_mul((N, one), derive_poly(D)))
     return num[0], num[1] * D * D
 
 
@@ -368,29 +271,12 @@ def verify_forward(chain, element, f):
     """
     chain.validate()
     expr = element.expr if isinstance(element, ChainElement) else element
-    rule_pairs = [_pair_of(r) for r in chain.rules]
-    lhs = _derive_pair(chain, expr, rule_pairs)
-    fname = _univar_name(f)
-    e_pair = _pair_of(expr)
-    fnum = f.num if isinstance(f, DiffRatFunc) else f
-    fden = f.den if isinstance(f, DiffRatFunc) else None
-    if fname is None:
-        base, variables = e_pair[0].base, e_pair[0].variables
-        top = DiffPoly.const(base, variables, fnum.constant_coefficient())
-        bot = DiffPoly.const(
-            base, variables,
-            fden.constant_coefficient() if fden is not None else f.base.one(),
-        )
-        rhs = (top, bot)
-    else:
-        top = _subst_pair(fnum, {fname: e_pair})
-        if fden is None:
-            rhs = top
-        else:
-            bot = _subst_pair(fden, {fname: e_pair})
-            if bot[0].is_zero():
-                return VerifyResult(False, witness="f is undefined at the element")
-            rhs = (top[0] * bot[1], top[1] * bot[0])
+    lhs = _derive_pair(chain, expr)
+    # for a constant f the key is None: nothing is substituted, but the
+    # element's pair still gives the ring to evaluate in
+    rhs = cleared_pair(f, {_univar_name(f): as_pair(expr)})
+    if rhs[1].is_zero():
+        return VerifyResult(False, witness="f is undefined at the element")
     if _pair_eq(lhs, rhs):
         return VerifyResult(True)
     return VerifyResult(False, witness=_pair_witness(lhs, rhs))
@@ -418,18 +304,13 @@ def verify_backward(g, assignments, system):
         raise ArityMismatch(
             f"{len(rules)} rules but {len(assignments)} assignments"
         )
-    g = g if isinstance(g, DiffRatFunc) else DiffRatFunc.from_poly(g)
     wname = _univar_name(g)
     if wname is None:
         # constant defining equation: any ring carrying the assignments works
         wname = g.variables[0] if g.variables else "w"
-    g_pair = _pair_of(g)
-    pairs = {}
-    h_pairs = []
-    for v, h in zip(system.variables, assignments):
-        h = h if isinstance(h, DiffRatFunc) else DiffRatFunc.from_poly(h)
-        h_pairs.append((h.num, h.den))
-        pairs[v] = (h.num, h.den)
+    g_pair = as_pair(g)
+    h_pairs = [as_pair(h) for h in assignments]
+    pairs = dict(zip(system.variables, h_pairs))
     for i, rule in enumerate(rules):
         N, D = h_pairs[i]
         dN, dD = N.partial(wname), D.partial(wname)
@@ -438,8 +319,8 @@ def verify_backward(g, assignments, system):
             N.coeff_derivation() * D - N * D.coeff_derivation(),
             D * D,
         )
-        lhs = _pair_add(_pair_mul(h_prime, g_pair), h_delta)
-        rhs = _subst_pair_any(rule, pairs)
+        lhs = pair_add(pair_mul(h_prime, g_pair), h_delta)
+        rhs = cleared_pair(rule, pairs)
         if not _pair_eq(lhs, rhs):
             return VerifyResult(False, index=i + 1, witness=_pair_witness(lhs, rhs))
     return VerifyResult(True)
@@ -465,16 +346,10 @@ class PresentationCertificate:
     element: DiffRatFunc
 
     def h_str(self):
-        from .diffalg import _composite
-
-        r, s = self.r.str("x"), self.s.str("x")
+        r = self.r.str("x")
         if self.s == UniPoly.const(1, self.s.field):
             return r
-        if _composite(r):
-            r = f"({r})"
-        if _composite(s):
-            s = f"({s})"
-        return f"{r}/{s}"
+        return ratio_str(r, self.s.str("x"))
 
 
 def search_presentation(f, candidates=(), degree_bound=3):

@@ -11,6 +11,7 @@ serialization format, so a positive verdict can be fed back through
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -338,7 +339,14 @@ def _parse_candidates(args, spec):
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def build_arg_parser():
+    """The command-line parser, built on the first call and shared after it.
+
+    ``parse_args`` leaves the parser as it was, so nothing one ``run``
+    parses reaches the next; building it once spares each call the build
+    and its garbage (argparse objects hold reference cycles).
+    """
     ap = argparse.ArgumentParser(
         prog="pfaffkit",
         description=(
@@ -396,9 +404,8 @@ def build_arg_parser():
 
 def run(argv):
     """Execute one command; returns (envelope dict, exit code)."""
-    ap = build_arg_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_arg_parser().parse_args(argv)
     except SystemExit as exc:
         if exc.code == 0:  # --help and friends already printed
             return None, 0

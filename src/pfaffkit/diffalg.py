@@ -9,6 +9,14 @@ functions.  Univariate differential rational functions are reduced with
 the package's one division and gcd kernel, ``exactfield.dense_divmod``
 and ``exactfield.dense_gcd``, over K and over K(t) alike.
 
+Substitution has one engine: ``cleared_pair`` evaluates a differential
+polynomial or fraction at (numerator, denominator) pairs and returns one
+unreduced pair, and ``as_pair``, ``pair_add``, ``pair_sub`` and
+``pair_mul`` do arithmetic on such pairs without any gcd.  Each caller
+reduces once at the end: ``DiffPoly.substitute`` and
+``DiffRatFunc.substitute`` build a single ``DiffRatFunc``, and the chain
+verifiers in ``chains`` decide their identities by cross multiplication.
+
 Everything here is a pure value: arithmetic returns new objects and
 never mutates, so concurrent use needs no coordination.
 """
@@ -19,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    ArityMismatch,
     DenominatorVanishesIdentically,
     DivisionByZero,
     FieldMismatch,
@@ -185,19 +194,20 @@ class RatFunc:
         return f"<ratfunc {self.str('t')}>"
 
     def str(self, varname):
-        num_s = self.num.str(varname)
         if self.is_polynomial():
-            return num_s
-        den_s = self.den.str(varname)
-        if _composite(num_s):
-            num_s = f"({num_s})"
-        if _composite(den_s):
-            den_s = f"({den_s})"
-        return f"{num_s}/{den_s}"
+            return self.num.str(varname)
+        return ratio_str(self.num.str(varname), self.den.str(varname))
 
 
-def _composite(s):
-    return (" + " in s) or (" - " in s) or ("*" in s) or ("/" in s) or s.startswith("-")
+def ratio_str(num_s, den_s):
+    """``num_s/den_s``, with each side that is not a single factor parenthesised."""
+
+    def factor(s):
+        if (" + " in s) or (" - " in s) or ("*" in s) or ("/" in s) or s.startswith("-"):
+            return f"({s})"
+        return s
+
+    return f"{factor(num_s)}/{factor(den_s)}"
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +227,6 @@ class BaseDiffField:
     @staticmethod
     def rational_functions(field=None, var="t"):
         return BaseDiffField(field, var)
-
-    @property
-    def kind(self):
-        return "constants" if self.var is None else "rational-functions"
 
     def zero(self):
         return self.coerce(0)
@@ -261,14 +267,6 @@ class BaseDiffField:
             z = AlgebraicScalar.rational(0)
             return z.lift(self.field) if self.field else z
         return c.derivative()
-
-    def is_zero_elem(self, c):
-        return c.is_zero()
-
-    def coeff_str(self, c):
-        if self.var is None:
-            return str(c)
-        return c.str(self.var)
 
     def coeff_display_negative(self, c):
         if self.var is None:
@@ -463,37 +461,7 @@ class DiffPoly:
         target ring (variables missing from the mapping must not occur).
         The result is a DiffPoly when every value is polynomial.
         """
-        values = []
-        target = None
-        for v in self.variables:
-            val = mapping.get(v)
-            values.append(val)
-            if val is not None:
-                target = val
-        if target is None:
-            raise UnknownVariable("substitution mapping is empty")
-        t_base, t_vars = _ring_of(target)
-        acc = DiffRatFunc.from_poly(DiffPoly.zero(t_base, t_vars))
-        for e, c in self.terms.items():
-            term = DiffRatFunc.from_poly(DiffPoly.const(t_base, t_vars, c))
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                if values[i] is None:
-                    raise UnknownVariable(
-                        f"no substitution value for variable {self.variables[i]!r}"
-                    )
-                v = values[i]
-                if isinstance(v, DiffPoly):
-                    v = DiffRatFunc.from_poly(v)
-                term = term * v ** k
-            acc = acc + term
-        poly = acc.as_polynomial()
-        if poly is not None and all(
-            isinstance(v, DiffPoly) for v in values if v is not None
-        ):
-            return poly
-        return acc
+        return _substitute_into(self, mapping)
 
     # -- identity and printing
 
@@ -676,17 +644,8 @@ class DiffRatFunc:
         return DiffRatFunc(np * self.den - self.num * dp, self.den * self.den)
 
     def substitute(self, mapping):
-        top = self.num.substitute(mapping)
-        bot = self.den.substitute(mapping)
-        if isinstance(top, DiffPoly):
-            top = DiffRatFunc.from_poly(top)
-        if isinstance(bot, DiffPoly):
-            bot = DiffRatFunc.from_poly(bot)
-        if bot.is_zero():
-            raise DenominatorVanishesIdentically(
-                "substitution makes the denominator vanish identically"
-            )
-        return top / bot
+        """Evaluate with each variable replaced per ``mapping``; always a DiffRatFunc."""
+        return _substitute_into(self, mapping)
 
     def __eq__(self, other):
         if isinstance(other, (DiffPoly, DiffRatFunc)):
@@ -707,15 +666,9 @@ class DiffRatFunc:
         return f"<diffratfunc {self}>"
 
     def __str__(self):
-        num_s = str(self.num)
         if self.den.is_constant() and (self.den.constant_coefficient() - self.base.one()).is_zero():
-            return num_s
-        den_s = str(self.den)
-        if _composite(num_s):
-            num_s = f"({num_s})"
-        if _composite(den_s):
-            den_s = f"({den_s})"
-        return f"{num_s}/{den_s}"
+            return str(self.num)
+        return ratio_str(str(self.num), str(self.den))
 
 
 def _single_variable(p, q):
@@ -797,6 +750,104 @@ def _reduce_fraction(num, den):
     num = num * inv
     den = den * inv
     return num, den
+
+
+# ---------------------------------------------------------------------------
+# the substitution engine: unreduced (numerator, denominator) pairs
+#
+# Substitution, and differentiation through chain rules, work on *unreduced*
+# numerator/denominator pairs of DiffPoly: every intermediate step is plain
+# polynomial arithmetic, and each caller reduces (or cross-multiplies) once
+# at the end.  Reducing along the way looks cleaner but triggers severe
+# coefficient blowup in the gcds.
+
+def as_pair(value):
+    """A DiffPoly or DiffRatFunc as a (numerator, denominator) pair."""
+    if isinstance(value, DiffRatFunc):
+        return value.num, value.den
+    return value, DiffPoly.const(value.base, value.variables, 1)
+
+
+def pair_add(a, b):
+    return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
+
+
+def pair_sub(a, b):
+    return a[0] * b[1] - b[0] * a[1], a[1] * b[1]
+
+
+def pair_mul(a, b):
+    return a[0] * b[0], a[1] * b[1]
+
+
+def cleared_pair(value, pairs):
+    """Evaluate ``value`` at per-variable (num, den) pairs, denominators cleared.
+
+    ``value`` is a DiffPoly or DiffRatFunc; ``pairs`` maps its variables
+    to pairs of one target ring.  Exponents are homogenized against the
+    per-variable maximum degree, so the result is a single unreduced pair
+    and no rational arithmetic is needed on the way.
+    """
+    if isinstance(value, DiffRatFunc):
+        top = cleared_pair(value.num, pairs)
+        bot = cleared_pair(value.den, pairs)
+        return top[0] * bot[1], top[1] * bot[0]
+    variables = value.variables
+    some = next(iter(pairs.values()))
+    t_base, t_vars = some[0].base, some[0].variables
+    one = DiffPoly.const(t_base, t_vars, 1)
+    maxdeg = [0] * len(variables)
+    for e in value.terms:
+        for i, k in enumerate(e):
+            maxdeg[i] = max(maxdeg[i], k)
+    num_pows, den_pows = [], []
+    for i, v in enumerate(variables):
+        if maxdeg[i] == 0 or v not in pairs:
+            num_pows.append(None)
+            den_pows.append(None)
+            continue
+        n, d = pairs[v]
+        npow, dpow = [one], [one]
+        for _ in range(maxdeg[i]):
+            npow.append(npow[-1] * n)
+            dpow.append(dpow[-1] * d)
+        num_pows.append(npow)
+        den_pows.append(dpow)
+    total = DiffPoly.zero(t_base, t_vars)
+    for e, c in value.terms.items():
+        term = DiffPoly.const(t_base, t_vars, c)
+        for i, k in enumerate(e):
+            if maxdeg[i] == 0:
+                continue
+            if num_pows[i] is None:
+                raise ArityMismatch(f"no assignment for variable {variables[i]!r}")
+            term = term * num_pows[i][k] * den_pows[i][maxdeg[i] - k]
+        total = total + term
+    den = one
+    for i in range(len(variables)):
+        if den_pows[i] is not None:
+            den = den * den_pows[i][maxdeg[i]]
+    return total, den
+
+
+def _substitute_into(value, mapping):
+    """The one body of ``DiffPoly.substitute`` and ``DiffRatFunc.substitute``."""
+    values = {v: mapping[v] for v in value.variables if mapping.get(v) is not None}
+    if not values:
+        raise UnknownVariable("substitution mapping is empty")
+    for p in (value,) if isinstance(value, DiffPoly) else (value.num, value.den):
+        for e in p.terms:
+            for v, k in zip(p.variables, e):
+                if k and v not in values:
+                    raise UnknownVariable(f"no substitution value for variable {v!r}")
+    num, den = cleared_pair(value, {v: as_pair(h) for v, h in values.items()})
+    if den.is_zero():
+        raise DenominatorVanishesIdentically(
+            "substitution makes the denominator vanish identically"
+        )
+    if isinstance(value, DiffPoly) and all(isinstance(h, DiffPoly) for h in values.values()):
+        return num
+    return DiffRatFunc(num, den)
 
 
 # ---------------------------------------------------------------------------

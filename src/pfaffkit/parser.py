@@ -334,6 +334,10 @@ def _fold(node, leaf, combine):
 
 def eval_ratfunc(node, ctx):
     """Evaluate an AST to a DiffRatFunc in the context's ring."""
+    # Unlike substitution (``diffalg.cleared_pair``), parsing reduces after
+    # every operation: a sum of many fractions over one denominator, such as
+    # 1/(y+1) + ... + 1/(y+1), then keeps that one denominator, where
+    # unreduced pairs would multiply all of them together.
     base, ring = ctx.base, ctx.ring
 
     def leaf(n):

@@ -51,6 +51,22 @@ def rand_diffpoly(rng, base, variables, max_deg=3, max_terms=4, span=4):
     return DiffPoly(base, variables, terms) + DiffPoly.zero(base, variables)
 
 
+def rand_poly(rng, base, names, max_deg=2, max_terms=3):
+    """A small random DiffPoly; over Q(theta) with irrational coefficients too."""
+    p = rand_diffpoly(rng, base, names, max_deg=max_deg, max_terms=max_terms, span=3)
+    if base.field is not None:
+        q = rand_diffpoly(rng, base, names, max_deg=max_deg, max_terms=max_terms, span=3)
+        p = p + q * base.field.gen()
+    return p
+
+
+def rand_nonzero_poly(rng, base, names, max_deg=2, max_terms=3):
+    while True:
+        p = rand_poly(rng, base, names, max_deg, max_terms)
+        if not p.is_zero():
+            return p
+
+
 def ode(text):
     """Shortcut: parse an order-one equation command string."""
     from pfaffkit.parser import parse_ode_text

@@ -26,7 +26,7 @@ from pfaffkit.errors import (
     ZeroElement,
 )
 
-from conftest import rand_diffpoly, rand_fraction, rand_unipoly
+from conftest import rand_diffpoly, rand_fraction, rand_nonzero_poly, rand_poly, rand_unipoly
 
 C = BaseDiffField.constants()
 Kt = BaseDiffField.rational_functions(var="t")
@@ -211,6 +211,67 @@ class TestClosureOperations:
             assert result.ok, result.witness
 
 
+# Test-only copy of the reduce-every-step derivative that ``_derive_pair``
+# replaced in ``total_derivative`` and ``invert_element``.
+def ref_derive_expr(chain, expr):
+    if isinstance(expr, DiffRatFunc):
+        dn = ref_derive_expr(chain, expr.num)
+        dd = ref_derive_expr(chain, expr.den)
+        dn = dn if isinstance(dn, DiffRatFunc) else DiffRatFunc.from_poly(dn)
+        dd = dd if isinstance(dd, DiffRatFunc) else DiffRatFunc.from_poly(dd)
+        num = dn * expr.den - dd * expr.num
+        return num / (DiffRatFunc.from_poly(expr.den) ** 2)
+    total = expr.coeff_derivation()
+    for v, rule in zip(chain.variables, chain.rules):
+        part = expr.partial(v)
+        if not part.is_zero():
+            total = total + part * rule
+    return total
+
+
+class TestDeriveThroughChain:
+    """``total_derivative`` and ``invert_element`` against the reference."""
+
+    def rand_chain(self, rng, base, names):
+        rules = [
+            rand_poly(rng, base, names[: i + 1]).extend(names) for i in range(len(names))
+        ]
+        return poly_chain(base, rules, names)
+
+    def run_cases(self, rng, base, count):
+        for _ in range(count):
+            names = rng.choice((("y1",), ("y1", "y2")))
+            chain = self.rand_chain(rng, base, names)
+            p = rand_poly(rng, base, names)
+            d = total_derivative(chain.element(p)).expr
+            want = ref_derive_expr(chain, p)
+            assert isinstance(d, DiffPoly)
+            assert d == want and str(d) == str(want)
+
+            q = DiffRatFunc(p, rand_nonzero_poly(rng, base, names, max_deg=1))
+            d = total_derivative(chain.element(q)).expr
+            want = ref_derive_expr(chain, q)
+            assert isinstance(d, DiffRatFunc)
+            assert d == want and str(d) == str(want)
+
+            if p.is_zero():
+                continue
+            ext, z = invert_element(chain.element(p))
+            zvar = DiffPoly.var(base, ext.variables, ext.variables[-1])
+            want = -(zvar * zvar) * ref_derive_expr(chain, p).extend(ext.variables)
+            assert ext.rules[-1] == want and str(ext.rules[-1]) == str(want)
+            assert z.expr == zvar
+
+    def test_over_q(self):
+        self.run_cases(random.Random(601), C, 60)
+
+    def test_over_qsqrt2(self, sqrt2):
+        self.run_cases(random.Random(602), BaseDiffField.constants(sqrt2), 40)
+
+    def test_over_kt(self):
+        self.run_cases(random.Random(603), Kt, 30)
+
+
 class TestNoetherianize:
     def test_example_one_over_2x(self):
         yv = DiffPoly.var(C, ("y",), "y")
@@ -286,6 +347,27 @@ class TestVerifyForward:
         assert not r.ok
         assert r.witness == DiffRatFunc.from_poly(DiffPoly.const(C, ("y1",), -1))
 
+    def test_constant_right_hand_side(self):
+        y1 = DiffPoly.var(C, ("y1",), "y1")
+        ch = poly_chain(C, (DiffPoly.const(C, ("y1",), 3),))
+        three = DiffPoly.const(C, ("y",), 3)
+        assert verify_forward(ch, ch.element(y1), three).ok
+        assert verify_forward(ch, ch.element(y1), DiffRatFunc.from_poly(three)).ok
+        # a constant f in a ring without variables
+        assert verify_forward(ch, y1, DiffPoly.const(C, (), 3)).ok
+        r = verify_forward(ch, ch.element(y1), DiffRatFunc(three, DiffPoly.const(C, ("y",), 2)))
+        assert not r.ok
+        assert r.witness == DiffRatFunc.from_poly(DiffPoly.const(C, ("y1",), Fraction(3, 2)))
+
+    def test_undefined_at_the_element(self):
+        y1 = DiffPoly.var(C, ("y1",), "y1")
+        ch = poly_chain(C, (y1,))
+        yv = DiffPoly.var(C, ("y",), "y")
+        f = DiffRatFunc(DiffPoly.const(C, ("y",), 1), yv - 1)
+        r = verify_forward(ch, DiffPoly.const(C, ("y1",), 1), f)
+        assert not r.ok
+        assert r.witness == "f is undefined at the element"
+
 
 class TestVerifyBackward:
     def test_lambert_chain_passes(self):
@@ -342,6 +424,12 @@ class TestSearchPresentation:
         b = sqrt2.scalar(1, 1)
         f = DiffRatFunc((yv - a) * (yv - b), yv * (yv - 1))
         assert search_presentation(f, degree_bound=3) is None
+
+    def test_constant_f_without_variables(self):
+        f = DiffRatFunc(DiffPoly.const(C, (), 3), DiffPoly.const(C, (), 2))
+        cert = search_presentation(f)
+        assert cert.h_str() == "x"
+        assert [str(r) for r in cert.chain.rules] == ["3/2"]
 
     def test_nonconstant_base_rejected(self):
         yv = DiffPoly.var(Kt, ("y",), "y")

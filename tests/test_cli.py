@@ -260,6 +260,31 @@ class TestCommands:
         assert doc1 == doc2
 
 
+class TestSharedParser:
+    """``run`` builds its argument parser once; no call may see another's."""
+
+    def test_candidate_does_not_leak_into_the_next_call(self):
+        plain = invoke("search-presentation", "y' = 1/(2*y)")
+        # a candidate that does not parse fails its own call only
+        doc, code = invoke("search-presentation", "y' = 1/(2*y)", "--candidate", ")(")
+        assert (code, doc["error"]["kind"]) == (1, "parse")
+        assert invoke("search-presentation", "y' = 1/(2*y)") == plain
+        assert plain[1] == 0 and plain[0]["found"] is True
+
+    def test_usage_error_then_good_call(self):
+        doc, code = invoke("classify-ode")
+        assert (code, doc["error"]["kind"]) == (1, "usage")
+        good, code = invoke("group-check", "--allowed", "eulerian", "Gm")
+        assert code == 0
+        assert good == invoke("group-check", "--allowed", "eulerian", "Gm")[0]
+        assert "error" not in good
+
+    def test_help_returns_no_envelope(self, capsys):
+        assert run(["--help"]) == (None, 0)
+        assert run(["classify-ode", "--help"]) == (None, 0)
+        assert "usage" in capsys.readouterr().out
+
+
 class TestExitCodes:
     def test_parse_error_is_exit_1(self):
         doc, code = invoke("classify-ode", "y' = )(")
@@ -344,6 +369,17 @@ class TestExitCodes:
         assert "error" not in doc
         # the cubic field is verified irreducible, not asserted
         assert doc["provenance"] == []
+
+    def test_long_sum_of_fractions_finishes(self):
+        # the parser reduces after every operation; on unreduced pairs the
+        # 1500 denominators would multiply instead of cancelling
+        text = "y' = " + "+".join(["1/(y+1)"] * 1500)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pfaffkit.cli", "classify-ode", text],
+            capture_output=True, text=True, check=False, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stdout
+        assert "error" not in json.loads(proc.stdout)
 
     def test_closed_stdout_keeps_exit_code(self):
         read_end, write_end = os.pipe()
