@@ -28,7 +28,6 @@ from .diffalg import (
     DiffRatFunc,
     RatFunc,
     coeff_derivation,
-    partial_derivative,
     riccati_reduce,
     substitute,
     substitute_cleared,

@@ -176,6 +176,8 @@ def invert_element(e):
     """Chain extension computing 1/e: appends z with z' = -z^2 D(e)."""
     if e.chain.kind != "polynomial":
         raise MixedKinds("inverse closure is defined for polynomial chains only")
+    if not isinstance(e.expr, DiffPoly):
+        raise MixedKinds("inverse closure is defined for polynomial elements only")
     if e.expr.is_zero():
         raise ZeroElement("cannot invert the zero element")
     chain = e.chain
@@ -406,7 +408,7 @@ def search_presentation(f, candidates=(), degree_bound=3):
         g = poly_gcd(r, s)
         if g.degree > 0:
             r, s = r // g, s // g
-        key = (r.coeffs, s.coeffs)
+        key = (tuple(r.nums), r.den, tuple(s.nums), s.den)
         if key in seen:
             continue
         seen.add(key)

@@ -5,9 +5,10 @@ K(t) with d/dt; multivariate differential polynomials carry the
 coefficient derivation.  Also home to the rational-function coefficient
 type, the logarithmic-derivative (Riccati-style) reduction of a monic
 linear equation, and exact composition of univariate rational
-functions.  Univariate differential rational functions are reduced with
-the package's one division and gcd kernel, ``exactfield.dense_divmod``
-and ``exactfield.dense_gcd``, over K and over K(t) alike.
+functions.  Univariate differential rational functions are reduced over
+Q by ``UniPoly`` division and ``poly_gcd``, which run on integers, and
+over Q(theta) and K(t) by the dense kernel ``exactfield.dense_divmod``
+and ``exactfield.dense_gcd``.
 
 Substitution has one engine: ``cleared_pair`` evaluates a differential
 polynomial or fraction at (numerator, denominator) pairs and returns one
@@ -718,7 +719,14 @@ def _reduce_fraction(num, den):
     if num.is_zero():
         return num, DiffPoly.const(base, variables, 1)
     name = _single_variable(num, den)
-    if name is not None and variables:
+    if name is not None and variables and base.var is None and base.field is None:
+        # over Q, UniPoly's gcd and division run on integers
+        a, b = to_unipoly(num, name), to_unipoly(den, name)
+        g = poly_gcd(a, b)
+        if g.degree > 0:
+            num = from_unipoly(a // g, base, variables, name)
+            den = from_unipoly(b // g, base, variables, name)
+    elif name is not None and variables:
         a = univar_dense(num, name)
         b = univar_dense(den, name)
         g = dense_gcd(a, b)
@@ -856,11 +864,6 @@ def _substitute_into(value, mapping):
 def coeff_derivation(p):
     """P with the base derivation applied to its coefficients."""
     return p.coeff_derivation()
-
-
-def partial_derivative(p, name):
-    """Formal partial derivative of ``p`` with respect to a ring variable."""
-    return p.partial(name)
 
 
 def substitute(f, h):

@@ -12,11 +12,16 @@ threads; ``coords`` gives the coordinates as ``fractions.Fraction``.  Q
 and degree 2 have closed forms; higher degrees reduce by the integer
 defining polynomial and invert by fraction-free elimination.
 
-Long division and the Euclidean gcd are written once, on coefficient
-lists (``dense_divmod``, ``dense_gcd``), for every coefficient type the
-package uses: ``UniPoly`` over Q(theta), the univariate reduction of
-differential rational functions over K and K(t), and the Fraction and
-integer lists of defining polynomials and rational-root finding.
+A polynomial (``UniPoly``) is stored the same way one level up: d ints
+per coefficient over one common denominator, so its ring arithmetic runs
+on ints for every field.  Over Q, division and the gcd run on the ints
+too, written once for integer lists: pseudo-division (``_int_divmod``)
+and the primitive remainder sequence (``_int_gcd``), which rational-root
+finding also uses.  Elsewhere long division and the Euclidean gcd are
+written once, on lists of coefficients with ``*``, ``-`` and
+``inverse()`` (``dense_divmod``, ``dense_gcd``): for ``UniPoly`` over
+Q(theta), for differential rational functions over K(t), and for the
+reduction of scalars by their defining polynomial.
 
 Only simple extensions are supported (one generator, no towers), which
 covers every concrete irrationality condition the verdict engine needs.
@@ -52,10 +57,10 @@ _Q1 = Fraction(1)
 def dense_divmod(a, b, inv_lead):
     """Schoolbook long division of coefficient list ``a`` by ``b``.
 
-    This is the one division loop behind every univariate polynomial in
-    the package.  The caller passes ``inv_lead``, the inverse of
-    ``b[-1]``, so the coefficients need only ``*`` and ``-``: Fractions,
-    scalars and rational functions of K(t) all serve.  Returns the
+    This is the one division loop for coefficients other than plain ints
+    (``_int_divmod`` divides those).  The caller passes ``inv_lead``, the
+    inverse of ``b[-1]``, so the coefficients need only ``*`` and ``-``:
+    Fractions, scalars and rational functions of K(t) all serve.  Returns the
     quotient and the remainder untrimmed, ``len(a) - len(b) + 1`` and
     ``len(b) - 1`` entries long (no quotient and all of ``a`` when ``a``
     is shorter than ``b``); each caller trims them with its own zero test.
@@ -100,8 +105,104 @@ def _over_common_denominator(cs):
 
     No factor of ``den`` divides every numerator.
     """
-    den = lcm(*(c.denominator for c in cs))
-    return tuple(c.numerator * (den // c.denominator) for c in cs), den
+    den = 1
+    for c in cs:
+        den = lcm(den, c.denominator)
+    return tuple([c.numerator * (den // c.denominator) for c in cs]), den
+
+
+# ---------------------------------------------------------------------------
+# integer coefficient lists, lowest degree first
+
+def _trim_blocks(nums, d):
+    """Drop the trailing all-zero coefficients, ``d`` ints each, in place."""
+    if d == 1:
+        while nums and not nums[-1]:
+            nums.pop()
+    else:
+        while nums and not any(nums[-d:]):
+            del nums[-d:]
+    return nums
+
+
+def _content(cs, g=0):
+    """gcd of ``g`` and every entry of ``cs``, folded so that it stops at 1."""
+    for c in cs:
+        if c:
+            g = gcd(g, c)
+            if g == 1:
+                break
+    return g
+
+
+def _primitive_part(cs):
+    """A nonzero trimmed integer list over its content, last entry positive."""
+    g = _content(cs)
+    if cs[-1] < 0:
+        g = -g
+    return cs if g == 1 else [c // g for c in cs]
+
+
+def _int_divmod(a, b):
+    """Pseudo-division of integer lists: ``(scale, quo, rem)`` with
+    ``scale*a == quo*b + rem``, ``scale > 0`` and ``len(rem) == len(b) - 1``.
+
+    ``b[-1]`` must be nonzero.  Each step scales by the part of ``b[-1]``
+    that the current leading term does not share, so a division by a
+    polynomial with leading coefficient 1, or an exact division whose
+    quotient is integral, never scales.
+    """
+    m = len(b) - 1
+    n = len(a) - 1 - m
+    beta = b[-1]
+    if n < 0:
+        return 1, [], list(a)
+    if m == 0:
+        return abs(beta), (list(a) if beta > 0 else [-c for c in a]), []
+    low = b[:-1]
+    rem = list(a)
+    quo = [0] * (n + 1)
+    scale = 1
+    for k in range(n, -1, -1):
+        top = rem.pop()
+        if not top:
+            continue
+        g = gcd(top, beta)
+        if beta < 0:
+            g = -g
+        u, v = beta // g, top // g
+        if u != 1:
+            scale *= u
+            rem = [u * c for c in rem]
+            for i in range(k + 1, n + 1):
+                quo[i] *= u
+        quo[k] = v
+        for i, c in enumerate(low, k):
+            rem[i] -= v * c
+    return scale, quo, rem
+
+
+def _int_gcd(a, b):
+    """The primitive gcd of two integer lists, last entry positive.
+
+    Euclid on pseudo-remainders, each one made primitive: the primitive
+    remainder sequence (Collins 1967; Brown and Traub 1971).  No
+    rational number is formed, and each remainder is no larger than the
+    matching subresultant.  Trailing zeros are allowed; two zero lists
+    give ``[]``.
+    """
+    a, b = _trim_blocks(list(a), 1), _trim_blocks(list(b), 1)
+    if len(a) < len(b):
+        a, b = b, a
+    if not a:
+        return []
+    a = _primitive_part(a)
+    while b:
+        if len(b) == 1:
+            return [1]
+        b = _primitive_part(b)
+        a, b = b, _trim_blocks(_int_divmod(a, b)[2], 1)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -113,27 +214,10 @@ def _primitive(cs):
     Trailing zeros are dropped and the leading coefficient is made
     positive; an all-zero list gives ``[]``.
     """
-    cs = list(cs)
-    while cs and not cs[-1]:
-        cs.pop()
+    cs = _trim_blocks(list(cs), 1)
     if not cs:
         return []
-    ints = _over_common_denominator(cs)[0]
-    g = gcd(*ints)
-    if ints[-1] < 0:
-        g = -g
-    return [c // g for c in ints]
-
-
-def _integer_gcd(a, b):
-    """A gcd of two integer coefficient lists, up to a rational factor.
-
-    Euclid over Q, each remainder made primitive so that the coefficients
-    stay small.
-    """
-    while b:
-        a, b = b, _primitive(dense_divmod(a, b, Fraction(1, b[-1]))[1])
-    return a
+    return _primitive_part(list(_over_common_denominator(cs)[0]))
 
 
 def _integer_eval(cs, x):
@@ -179,7 +263,7 @@ def _integer_roots(g):
 
 
 def _rational_roots(cs):
-    """All rational roots of a nonzero polynomial with Fraction coefficients."""
+    """All rational roots of a nonzero polynomial with int or Fraction coefficients."""
     ints = _primitive(cs)
     if not ints:
         raise ValueError("zero polynomial has every rational root")
@@ -203,9 +287,9 @@ def _rational_roots(cs):
     # the squarefree part f has the same roots; g(z) = a^(n-1) f(z/a) is
     # monic with integer coefficients, and its integer roots are a times
     # the rational roots of f
-    common = _integer_gcd(ints, [i * c for i, c in enumerate(ints)][1:])
+    common = _int_gcd(ints, [i * c for i, c in enumerate(ints)][1:])
     if len(common) > 1:
-        ints = _primitive(dense_divmod(ints, common, Fraction(1, common[-1]))[0])
+        ints = _primitive_part(_int_divmod(ints, common)[1])
     a, n = ints[-1], len(ints) - 1
     g = [c * a ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
     roots.update(Fraction(z, a) for z in _integer_roots(g))
@@ -738,29 +822,59 @@ def scalar_sqrt(s):
 # univariate polynomials over scalars
 
 class UniPoly:
-    """Dense univariate polynomial over Q or a number field.
+    """Dense univariate polynomial over Q or a number field Q(theta).
 
-    Coefficients are stored lowest degree first; the leading coefficient
-    is nonzero unless the polynomial is zero.
+    Stored as ``AlgebraicScalar`` stores a scalar, one level up: ``nums``
+    is a list of Python ints, ``d`` per coefficient (``d`` the degree of
+    ``field``, 1 over Q), lowest degree first, over one common denominator
+    ``den > 0``.  Coefficient ``i`` is ``nums[i*d:(i+1)*d] / den``.  The
+    canonical rule is the scalars' one, ``gcd(den, *nums) == 1``, and the
+    last coefficient is nonzero, so the zero polynomial is ``[]`` over 1
+    and ``==`` compares the ints.  ``coeffs`` is a read-only tuple of the
+    coefficients as canonical scalars.
+
+    ``+``, ``-``, ``*``, ``derivative`` and ``monic`` work on the ints for
+    every field; a product over Q(theta) reduces the powers of theta once
+    per output coefficient.  Over Q, division and ``poly_gcd`` work on the
+    ints as well; over Q(theta) they run ``dense_divmod`` and ``dense_gcd``
+    on ``coeffs``.  Values are never mutated after construction.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "nums", "den")
 
     def __init__(self, field, coeffs):
-        lifted = []
+        scalars = []
+        den = 1
         for c in coeffs:
             c = AlgebraicScalar._coerce(c)
-            lifted.append(c.lift(field) if c.field != field else c)
-        while lifted and lifted[-1].is_zero():
-            lifted.pop()
+            if c.field is not field:
+                c = c.lift(field)
+            scalars.append(c)
+            if c.den != 1:
+                den = lcm(den, c.den)
+        nums = []
+        for c in scalars:
+            f = den // c.den
+            nums.extend(c.nums if f == 1 else [n * f for n in c.nums])
+        # canonical scalars over the lcm of their denominators share no factor
         self.field = field
-        self.coeffs = tuple(lifted)
+        self.nums = _trim_blocks(nums, _dim(field))
+        self.den = den if nums else 1
+
+    @property
+    def coeffs(self):
+        """The coefficients as scalars, constant term first."""
+        field, nums, den = self.field, self.nums, self.den
+        d = _dim(field)
+        # tuple() of a generator allocates ten slots and shrinks them, so it
+        # would only ever add tuples to CPython's free list of each length
+        return tuple([_canonical(field, tuple(nums[i:i + d]), den) for i in range(0, len(nums), d)])
 
     # -- constructors
 
     @staticmethod
     def zero(field=None):
-        return UniPoly(field, ())
+        return _poly(field, [], 1)
 
     @staticmethod
     def const(c, field=None):
@@ -787,65 +901,70 @@ class UniPoly:
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.nums) // _dim(self.field) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.nums
 
     def is_constant(self):
-        return len(self.coeffs) <= 1
+        return len(self.nums) <= _dim(self.field)
 
     def leading(self):
-        if self.is_zero():
+        if not self.nums:
             raise DivisionByZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coeff(self.degree)
 
     def constant_value(self):
-        if self.is_zero():
-            return AlgebraicScalar.rational(0).lift(self.field) if self.field else AlgebraicScalar.rational(0)
-        return self.coeffs[0]
+        return self.coeff(0)
 
     def coeff(self, i):
-        if i < len(self.coeffs):
-            return self.coeffs[i]
-        z = AlgebraicScalar.rational(0)
-        return z.lift(self.field) if self.field else z
+        d = _dim(self.field)
+        block = self.nums[i * d:(i + 1) * d]
+        if not block:
+            return AlgebraicScalar(self.field, (0,) * d, 1)
+        return _canonical(self.field, tuple(block), self.den)
 
     # -- arithmetic
 
+    def _lift(self, field):
+        d = field.degree
+        nums = [0] * (len(self.nums) * d)
+        nums[::d] = self.nums
+        return _poly(field, nums, self.den, 1)
+
     def _pair(self, other):
         if isinstance(other, UniPoly):
-            if self.field == other.field:
+            fa, fb = self.field, other.field
+            if fa is fb or fa == fb:
                 return self, other
-            if self.field is None:
-                return UniPoly(other.field, self.coeffs), other
-            if other.field is None:
-                return self, UniPoly(self.field, other.coeffs)
+            if fa is None:
+                return self._lift(fb), other
+            if fb is None:
+                return self, other._lift(fa)
             raise FieldMismatch("polynomials over different number fields")
         c = AlgebraicScalar._coerce(other)
         if c is None:
             return None, None
-        field = self.field if self.field is not None else c.field
-        return (self if field == self.field else UniPoly(field, self.coeffs)), UniPoly.const(c, field)
+        if self.field is None and c.field is not None:
+            return self._lift(c.field), UniPoly(c.field, (c,))
+        return self, UniPoly(self.field, (c,))
 
     def __add__(self, other):
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        n = max(len(a.coeffs), len(b.coeffs))
-        return UniPoly(a.field, [a.coeff(i) + b.coeff(i) for i in range(n)])
+        return _poly_sum(a, b, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly(self.field, [-c for c in self.coeffs])
+        return _poly(self.field, [-n for n in self.nums], self.den, 1)
 
     def __sub__(self, other):
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        n = max(len(a.coeffs), len(b.coeffs))
-        return UniPoly(a.field, [a.coeff(i) - b.coeff(i) for i in range(n)])
+        return _poly_sum(a, b, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -854,15 +973,7 @@ class UniPoly:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        if a.is_zero() or b.is_zero():
-            return UniPoly.zero(a.field)
-        out = [AlgebraicScalar.rational(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, ca in enumerate(a.coeffs):
-            if ca.is_zero():
-                continue
-            for j, cb in enumerate(b.coeffs):
-                out[i + j] = out[i + j] + ca * cb
-        return UniPoly(a.field, out)
+        return _poly_mul(a, b)
 
     __rmul__ = __mul__
 
@@ -884,8 +995,15 @@ class UniPoly:
             return NotImplemented
         if b.is_zero():
             raise DivisionByZeroPolynomial("polynomial division by zero")
-        quo, rem = dense_divmod(a.coeffs, b.coeffs, b.coeffs[-1].inverse())
-        return UniPoly(a.field, quo), UniPoly(a.field, rem)
+        if a.field is not None:
+            quo, rem = dense_divmod(a.coeffs, b.coeffs, b.leading().inverse())
+            return UniPoly(a.field, quo), UniPoly(a.field, rem)
+        # a/da = (quo*db / (scale*da)) * (b/db) + rem / (scale*da)
+        scale, quo, rem = _int_divmod(a.nums, b.nums)
+        den, db = scale * a.den, b.den
+        if db != 1:
+            quo = [q * db for q in quo]
+        return _poly(None, quo, den), _poly(None, rem, den)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -900,13 +1018,14 @@ class UniPoly:
         return (other % self).is_zero()
 
     def derivative(self):
-        return UniPoly(self.field, [i * c for i, c in enumerate(self.coeffs)][1:])
+        d = _dim(self.field)
+        nums = [(j // d) * n for j, n in enumerate(self.nums[d:], d)]
+        return _poly(self.field, nums, self.den)
 
     def monic(self):
         if self.is_zero():
             return self
-        inv = self.leading().inverse()
-        return UniPoly(self.field, [c * inv for c in self.coeffs])
+        return _poly_mul(self, UniPoly(self.field, (self.leading().inverse(),)))
 
     def eval(self, x):
         acc = AlgebraicScalar.rational(0)
@@ -923,10 +1042,10 @@ class UniPoly:
             a, b = self._pair(other)
         except FieldMismatch:
             return False
-        return a.coeffs == b.coeffs
+        return a.nums == b.nums and a.den == b.den
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, tuple(self.nums), self.den))
 
     def __repr__(self):
         return f"<poly {self.str('x')}>"
@@ -935,8 +1054,9 @@ class UniPoly:
         if self.is_zero():
             return "0"
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        coeffs = self.coeffs
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[i]
             if c.is_zero():
                 continue
             neg, body = _coeff_term_str(c, _mono_str_uni(varname, i))
@@ -945,6 +1065,107 @@ class UniPoly:
             else:
                 parts.append((" - " if neg else " + ") + body)
         return "".join(parts)
+
+
+def _dim(field):
+    """Ints per coefficient: the degree of ``field``, 1 over Q."""
+    return 1 if field is None else len(field.minpoly) - 1
+
+
+def _poly(field, nums, den, common=None):
+    """The canonical ``UniPoly`` nums/den for ``den > 0``.
+
+    ``common`` bounds the factor that ``den`` and ``nums`` can share (it
+    is ``den`` when not given); 1 means the pair is known to be reduced.
+    """
+    _trim_blocks(nums, _dim(field))
+    if not nums:
+        den = 1
+    else:
+        g = den if common is None else common
+        if g != 1:
+            g = _content(nums, g)
+            if g != 1:
+                nums = [n // g for n in nums]
+                den //= g
+    p = UniPoly.__new__(UniPoly)
+    p.field, p.nums, p.den = field, nums, den
+    return p
+
+
+def _poly_sum(a, b, sign):
+    """a + sign*b for polynomials over one field, as ``_sum`` adds scalars."""
+    an, bn, da, db = a.nums, b.nums, a.den, b.den
+    if da == db:
+        g, s, u = da, sign, 1
+        if sign > 0:
+            t = [x + y for x, y in zip(an, bn)]
+        else:
+            t = [x - y for x, y in zip(an, bn)]
+    else:
+        g = gcd(da, db)
+        s, u = da // g, db // g
+        if sign < 0:
+            s = -s
+        t = [x * u + y * s for x, y in zip(an, bn)]
+    if len(an) > len(bn):
+        t.extend(an[len(bn):] if u == 1 else [x * u for x in an[len(bn):]])
+    elif len(bn) > len(an):
+        t.extend(bn[len(an):] if s == 1 else [y * s for y in bn[len(an):]])
+    # over the lcm of the denominators only a factor of their gcd is common
+    return _poly(a.field, t, da * u, g)
+
+
+def _poly_mul(a, b):
+    """The product of two polynomials over one field."""
+    an, bn, field = a.nums, b.nums, a.field
+    if not an or not bn:
+        return _poly(field, [], 1)
+    if field is None:
+        if len(an) < len(bn):
+            an, bn = bn, an
+        out = [0] * (len(an) + len(bn) - 1)
+        for j, y in enumerate(bn):
+            if y:
+                for k, x in enumerate(an, j):
+                    out[k] += x * y
+        return _poly(None, out, a.den * b.den)
+    out, scale = _block_mul(an, bn, field)
+    return _poly(field, out, a.den * b.den * scale)
+
+
+def _block_mul(an, bn, field):
+    """Product of two flat coefficient lists over Q(theta) as ``(nums, scale)``.
+
+    Each output coefficient is summed as a polynomial in theta and then
+    reduced once by the integer defining polynomial.  A reduction step
+    multiplies by its leading coefficient ``L``; every coefficient takes
+    all ``d - 1`` steps, so the product is ``nums / L^(d-1)`` throughout.
+    """
+    d = field.degree
+    ms, lead = field.minpoly_nums, field.minpoly_den
+    blocks_a = [an[i:i + d] for i in range(0, len(an), d)]
+    blocks_b = [bn[i:i + d] for i in range(0, len(bn), d)]
+    la, lb = len(blocks_a), len(blocks_b)
+    out = []
+    for k in range(la + lb - 1):
+        prod = [0] * (2 * d - 1)
+        for i in range(max(0, k - lb + 1), min(k, la - 1) + 1):
+            y = blocks_b[k - i]
+            for s, x in enumerate(blocks_a[i]):
+                if x:
+                    for t, z in enumerate(y, s):
+                        prod[t] += x * z
+        for top_index in range(2 * d - 2, d - 1, -1):
+            top = prod.pop()
+            if lead != 1:
+                prod = [lead * c for c in prod]
+            if top:
+                # lead*theta^k = -(ms[0] + ... + ms[d-1]*theta^(d-1))*theta^(k-d)
+                for i, m in enumerate(ms, top_index - d):
+                    prod[i] -= top * m
+        out.extend(prod)
+    return out, lead ** (d - 1)
 
 
 def _mono_str_uni(varname, i):
@@ -978,10 +1199,19 @@ def _coeff_term_str(c, mono):
 
 
 def poly_gcd(p, q):
-    """Monic gcd by the Euclidean algorithm; errors when both are zero."""
+    """Monic gcd of two polynomials; errors when both are zero.
+
+    Over Q this is the primitive remainder sequence on the integer
+    vectors (``_int_gcd``); over Q(theta) it is ``dense_gcd`` on the
+    coefficients.
+    """
     a, b = p._pair(q)
     if a.is_zero() and b.is_zero():
         raise DivisionByZeroPolynomial("gcd(0, 0) is undefined")
+    if a.field is None:
+        g = _int_gcd(a.nums, b.nums)
+        # g is primitive, so g/g[-1] is already in lowest terms
+        return _poly(None, g, g[-1], 1)
     return UniPoly(a.field, dense_gcd(a.coeffs, b.coeffs))
 
 
@@ -1044,11 +1274,9 @@ def extract_linear_roots(p):
     changed = True
     while changed and not rem.is_constant():
         changed = False
-        coord_poly = None
-        for j in range(1 if rem.field is None else rem.field.degree):
-            if any(c.nums[j] for c in rem.coeffs):
-                coord_poly = [Fraction(c.nums[j], c.den) for c in rem.coeffs]
-                break
+        # a rational root is a root of every coordinate polynomial
+        d = _dim(rem.field)
+        coord_poly = next(cs for cs in (rem.nums[j::d] for j in range(d)) if any(cs))
         for r in _rational_roots(coord_poly):
             root = AlgebraicScalar.rational(r)
             if rem.field is not None:
@@ -1060,7 +1288,7 @@ def extract_linear_roots(p):
                     changed = True
     # quadratic tail: split when the discriminant is a square in the field
     while rem.degree == 2:
-        c2, c1, c0 = rem.coeffs[2], rem.coeffs[1], rem.coeffs[0]
+        c0, c1, c2 = rem.coeffs
         disc = c1 * c1 - 4 * c2 * c0
         s = scalar_sqrt(disc.lift(rem.field) if disc.field != rem.field else disc)
         if s is None:
@@ -1069,6 +1297,7 @@ def extract_linear_roots(p):
             peel(root)
         break
     if rem.degree == 1:
-        peel(-rem.coeffs[0] / rem.coeffs[1])
+        c0, c1 = rem.coeffs
+        peel(-c0 / c1)
     order = sorted(found, key=str)
     return [(r, found[r]) for r in order], rem

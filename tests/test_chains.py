@@ -161,6 +161,12 @@ class TestClosureOperations:
         with pytest.raises(ZeroElement):
             invert_element(ch.element(DiffPoly.zero(C, ("y1",))))
 
+    def test_invert_fractional_element_rejected(self):
+        y1 = DiffPoly.var(C, ("y1",), "y1")
+        ch = poly_chain(C, (y1,))
+        with pytest.raises(MixedKinds, match="polynomial elements only"):
+            invert_element(ch.element(DiffRatFunc(y1, y1 + 1)))
+
     def test_closure_bookkeeping(self):
         rng = random.Random(5)
         names = ("y1", "y2")

@@ -381,6 +381,33 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stdout
         assert "error" not in json.loads(proc.stdout)
 
+    def test_hidden_common_factor_finishes(self):
+        # A*G/(B*G) expanded, with A, B, G random monic of degree 40 and
+        # coefficients up to 10^6: the parser's gcd must find G of degree 40
+        rng = random.Random(40)
+
+        def monic():
+            return [rng.randint(-10 ** 6, 10 ** 6) for _ in range(40)] + [1]
+
+        def times(a, b):
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            return out
+
+        def text(cs):
+            return " + ".join(f"({c})*y^{k}" for k, c in enumerate(cs))
+
+        a, b, g = monic(), monic(), monic()
+        ode = f"y' = ({text(times(a, g))})/({text(times(b, g))})"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pfaffkit.cli", "classify-ode", ode],
+            capture_output=True, text=True, check=False, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stdout
+        assert "error" not in json.loads(proc.stdout)
+
     def test_closed_stdout_keeps_exit_code(self):
         read_end, write_end = os.pipe()
         os.close(read_end)

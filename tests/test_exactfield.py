@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import pfaffkit as pk
 from pfaffkit.errors import (
@@ -703,3 +705,216 @@ class TestRationalRootsWithoutFactoring:
             cs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
             expected = sorted(Fraction(int(r.p), int(r.q)) for r in poly.ground_roots())
             assert _rational_roots(cs) == expected, cs
+
+
+# Test-only copies of the scalar-tuple UniPoly arithmetic that the integer
+# coefficient vectors replaced: each works on ``coeffs`` with scalar ``+``,
+# ``-``, ``*`` and ``inverse``, as the methods did.
+
+def scalar_zero(field):
+    z = AlgebraicScalar.rational(0)
+    return z.lift(field) if field else z
+
+
+def ref_poly_add(field, a, b, sign=1):
+    z = scalar_zero(field)
+    out = []
+    for i in range(max(len(a), len(b))):
+        x = a[i] if i < len(a) else z
+        y = b[i] if i < len(b) else z
+        out.append(x + y if sign > 0 else x - y)
+    return trimmed(out)
+
+
+def ref_poly_mul(field, a, b):
+    if not a or not b:
+        return []
+    out = [scalar_zero(field)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return trimmed(out)
+
+
+def ref_poly_divmod(a, b):
+    quo, rem = dense_divmod(a, b, b[-1].inverse())
+    return trimmed(quo), trimmed(rem)
+
+
+def ref_poly_derivative(a):
+    return trimmed([i * c for i, c in enumerate(a)][1:])
+
+
+def ref_poly_monic(a):
+    if not a:
+        return []
+    inv = a[-1].inverse()
+    return [c * inv for c in a]
+
+
+def check_canonical_poly(p, field):
+    d = field.degree if field else 1
+    assert p.field is field
+    assert all(type(n) is int for n in p.nums) and type(p.den) is int
+    assert p.den > 0 and gcd(p.den, *p.nums) == 1
+    assert len(p.nums) % d == 0
+    if p.nums:
+        assert any(p.nums[-d:])
+    else:
+        assert p.den == 1
+
+
+def rand_poly_of(rng, field, max_deg, span):
+    """A random UniPoly built from scalars; about one in eight is zero."""
+    if rng.random() < 0.125:
+        return UniPoly(field, [])
+    return UniPoly(field, [rand_scalar(rng, field, span) for _ in range(rng.randint(0, max_deg) + 1)])
+
+
+UNIPOLY_FIELDS = ("Q", "Q(sqrt2)", "Q(cbrt2)", "Q(denominators)", "Q(cubic denominators)")
+
+
+class TestIntegerUniPoly:
+    """The integer-vector UniPoly against the scalar-tuple reference."""
+
+    @pytest.mark.parametrize("name", UNIPOLY_FIELDS)
+    def test_matches_scalar_reference(self, name):
+        field = INTEGER_FIELDS[name]
+        rng = random.Random(f"integer-unipoly/{name}")
+        for i in range(150):
+            span = 6 if i % 3 else 10 ** 9
+            a = rand_poly_of(rng, field, 6, span)
+            b = rand_poly_of(rng, field, 4, span)
+            c = rand_scalar(rng, field, span)
+            ac, bc = list(a.coeffs), list(b.coeffs)
+            for got, want in (
+                (a + b, ref_poly_add(field, ac, bc)),
+                (a - b, ref_poly_add(field, ac, bc, -1)),
+                (-a, [-x for x in ac]),
+                (a * b, ref_poly_mul(field, ac, bc)),
+                (a * c, ref_poly_mul(field, ac, [c] if not c.is_zero() else [])),
+                (a.derivative(), ref_poly_derivative(ac)),
+                (a.monic(), ref_poly_monic(ac)),
+            ):
+                check_canonical_poly(got, field)
+                assert got.coeffs == tuple(want)
+            if not b.is_zero():
+                q, r = divmod(a, b)
+                check_canonical_poly(q, field)
+                check_canonical_poly(r, field)
+                assert (list(q.coeffs), list(r.coeffs)) == ref_poly_divmod(ac, bc)
+            common = rand_poly_of(rng, field, 2, 6)
+            p1, p2 = a * common, b * common
+            if not (p1.is_zero() and p2.is_zero()):
+                g = pk.poly_gcd(p1, p2)
+                check_canonical_poly(g, field)
+                assert list(g.coeffs) == dense_gcd(p1.coeffs, p2.coeffs)
+
+    @pytest.mark.parametrize("name", UNIPOLY_FIELDS)
+    def test_built_from_scalars_equals_built_by_arithmetic(self, name):
+        field = INTEGER_FIELDS[name]
+        rng = random.Random(f"integer-unipoly-eq/{name}")
+        x = UniPoly.x(field)
+        for _ in range(60):
+            cs = [rand_scalar(rng, field, 10 ** 6) for _ in range(rng.randint(1, 6))]
+            built = UniPoly(field, cs)
+            by_arithmetic = UniPoly.zero(field)
+            for k, c in enumerate(cs):
+                by_arithmetic = by_arithmetic + x ** k * c
+            # rational coefficients given as Fractions are lifted like scalars
+            mixed = UniPoly(field, [c.is_rational() if c.is_rational() is not None else c
+                                    for c in cs])
+            for other in (by_arithmetic, mixed, UniPoly(field, built.coeffs)):
+                check_canonical_poly(other, field)
+                assert other == built
+                assert (other.nums, other.den) == (built.nums, built.den)
+                assert other.coeffs == built.coeffs
+                assert hash(other) == hash(built)
+
+    def test_rational_poly_lifts_into_a_field(self, sqrt2):
+        x = UniPoly.x(None)
+        p = (x - Fraction(1, 3)) ** 2
+        lifted = p * sqrt2.one()
+        assert lifted.field is sqrt2
+        assert lifted == p and lifted.coeffs == tuple(c.lift(sqrt2) for c in p.coeffs)
+        with pytest.raises(FieldMismatch):
+            UniPoly(None, [sqrt2.gen()])
+
+    def test_gcd_matches_sympy_over_qq(self):
+        sympy = pytest.importorskip("sympy")
+        y = sympy.Symbol("y")
+        rng = random.Random(318)
+
+        def to_sympy(p):
+            return sympy.Poly([sympy.Rational(c.nums[0], c.den) for c in reversed(p.coeffs)],
+                              y, domain=sympy.QQ)
+
+        for i in range(40):
+            span = 10 ** 6 if i % 2 else 9
+            common = rand_poly_of(rng, None, 5, span)
+            p = rand_poly_of(rng, None, 12, span) * common
+            q = rand_poly_of(rng, None, 12, span) * common
+            if p.is_zero() and q.is_zero():
+                continue
+            g = pk.poly_gcd(p, q)
+            expected = to_sympy(p).gcd(to_sympy(q)).monic()
+            assert to_sympy(g) == expected
+
+
+FIELDS_FOR_PROPERTIES = ("Q", "Q(sqrt2)", "Q(denominators)")
+
+
+@st.composite
+def unipolys(draw, field, max_deg=5):
+    """UniPoly over ``field`` with small rational coordinates."""
+    d = field.degree if field else 1
+    ratio = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    coords = draw(st.lists(st.lists(ratio, min_size=d, max_size=d), max_size=max_deg + 1))
+    if field is None:
+        return UniPoly(None, [c[0] for c in coords])
+    return UniPoly(field, [field.scalar(*c) for c in coords])
+
+
+def poly_triples(n=3):
+    return st.sampled_from(FIELDS_FOR_PROPERTIES).flatmap(
+        lambda name: st.tuples(*[unipolys(INTEGER_FIELDS[name])] * n))
+
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+class TestUniPolyProperties:
+    @PROPERTY_SETTINGS
+    @given(poly_triples())
+    def test_ring_laws(self, abc):
+        a, b, c = abc
+        zero, one = UniPoly.zero(a.field), UniPoly.const(1, a.field)
+        assert a + b == b + a and a * b == b * a
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a + zero == a and a * one == a and (a - a).is_zero()
+        assert -(a - b) == b - a
+
+    @PROPERTY_SETTINGS
+    @given(poly_triples(2))
+    def test_division_identity(self, ab):
+        a, b = ab
+        assume(not b.is_zero())
+        q, r = divmod(a, b)
+        assert q * b + r == a
+        assert r.degree < b.degree
+
+    @PROPERTY_SETTINGS
+    @given(poly_triples())
+    def test_gcd_divides_both(self, abc):
+        a, b, c = abc
+        a, b = a * c, b * c
+        assume(not (a.is_zero() and b.is_zero()))
+        g = pk.poly_gcd(a, b)
+        assert g.leading() == 1
+        assert g.divides(a) and g.divides(b)
+        if not c.is_zero():
+            assert c.divides(g)
