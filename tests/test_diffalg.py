@@ -359,3 +359,67 @@ class TestSubstitutionEngine:
                 value.substitute({"y1": w})
         # a variable that does not occur needs no value
         assert (y1 + 1).substitute({"y1": w}) == w + 1
+
+
+class TestFractionOperators:
+    def test_reflected_division_by_a_foreign_value_is_a_type_error(self):
+        y = DiffPoly.var(C, ("y",), "y")
+        for f in (DiffRatFunc.from_poly(y), RatFunc.x()):
+            with pytest.raises(TypeError):
+                1j / f
+            with pytest.raises(TypeError):
+                1j - f
+
+    def test_reflected_operators_on_numbers(self):
+        y = DiffPoly.var(C, ("y",), "y")
+        f = DiffRatFunc(y, y + 1)
+        assert 1 / f == DiffRatFunc(y + 1, y)
+        assert 2 - f == DiffRatFunc(y + 2, y + 1)
+        assert f ** -2 == DiffRatFunc((y + 1) ** 2, y ** 2)
+        t = RatFunc.x()
+        assert 1 / t == t.inverse()
+        assert 3 - t == RatFunc.const(3) - t
+
+    def test_subtraction_matches_adding_the_negation(self):
+        rng = random.Random(611)
+        for base in (C, Kt):
+            def frac():
+                return DiffRatFunc(*(rand_nonzero_poly(rng, base, ("y",)) for _ in range(2)))
+
+            for _ in range(20):
+                a, b = frac(), frac()
+                d = a - b
+                assert d == a + (-b)
+                assert (d.num.terms, d.den.terms) == ((a + (-b)).num.terms, (a + (-b)).den.terms)
+
+
+class TestHashAgreesWithEquality:
+    def test_constant_fractions_and_polynomials_hash_as_their_value(self):
+        assert RatFunc.const(3) == 3 and hash(RatFunc.const(3)) == hash(3)
+        c = DiffPoly.const(C, ("y",), 3)
+        assert c == 3 and hash(c) == hash(3)
+        ct = DiffPoly.const(Kt, ("y1", "y2"), Fraction(1, 2))
+        assert ct == Fraction(1, 2) and hash(ct) == hash(Fraction(1, 2))
+        u3 = DiffIndeterminateExpr.const(Kt, 3)
+        assert u3 == 3 and hash(u3) == hash(3)
+
+    def test_fraction_over_one_hashes_as_its_numerator(self):
+        y = DiffPoly.var(C, ("y",), "y")
+        assert DiffRatFunc.from_poly(y) == y
+        assert hash(DiffRatFunc.from_poly(y)) == hash(y)
+        assert len({DiffRatFunc.from_poly(y), y}) == 1
+        t = RatFunc.x()
+        assert hash(t) == hash(t.num)
+
+    def test_multivariate_fractions_equal_by_cross_multiplication(self):
+        y1, y2 = yvars(C)
+        a = DiffRatFunc(y1, y2)
+        b = DiffRatFunc(y1 * (y1 + y2), y2 * (y1 + y2))
+        assert b.num.terms != a.num.terms  # only monomial content is cancelled
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_rational_functions_over_q_hash_like_their_lift(self, sqrt2):
+        Q_t = RatFunc(pk.UniPoly.x() + 1, pk.UniPoly.x() ** 2 - 3)
+        lifted = RatFunc(pk.UniPoly(sqrt2, Q_t.num.coeffs), pk.UniPoly(sqrt2, Q_t.den.coeffs))
+        assert Q_t == lifted and hash(Q_t) == hash(lifted)

@@ -918,3 +918,28 @@ class TestUniPolyProperties:
         assert g.divides(a) and g.divides(b)
         if not c.is_zero():
             assert c.divides(g)
+
+
+class TestPolyHashAgreesWithEquality:
+    def test_rational_polynomial_hashes_like_its_lift(self, sqrt2, cbrt2):
+        for field in (sqrt2, cbrt2):
+            a, b = UniPoly.x(), UniPoly.x(field)
+            assert a == b and hash(a) == hash(b)
+            assert len({a, b}) == 1
+            p = UniPoly(None, [Fraction(1, 3), -2, 0, Fraction(5, 7)])
+            q = UniPoly(field, p.coeffs)
+            assert p == q and hash(p) == hash(q)
+
+    def test_constant_hashes_as_its_value(self, sqrt2):
+        assert UniPoly.const(1) == 1 and hash(UniPoly.const(1)) == hash(1)
+        assert hash(UniPoly.zero(sqrt2)) == hash(0)
+        half = UniPoly.const(Fraction(1, 2), sqrt2)
+        assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+        r = sqrt2.gen() + 1
+        assert UniPoly.const(r) == r and hash(UniPoly.const(r)) == hash(r)
+
+    def test_irrational_polynomials_still_differ(self, sqrt2):
+        r = sqrt2.gen()
+        a = UniPoly(sqrt2, [r, 1])
+        b = UniPoly(sqrt2, [1, 1])
+        assert a != b and len({a, b}) == 2
