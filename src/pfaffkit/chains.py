@@ -36,6 +36,7 @@ from .diffalg import (
     pair_add,
     pair_mul,
     pair_sub,
+    sole_variable,
     substitute_cleared,
     to_unipoly,
 )
@@ -74,10 +75,7 @@ class PfaffianChain:
                 raise MixedKinds(f"rule {i + 1} is not polynomial")
             if self.kind == "rational" and not isinstance(rule, (DiffPoly, DiffRatFunc)):
                 raise MixedKinds(f"rule {i + 1} has unsupported type")
-            used = rule.used_variables() if isinstance(rule, DiffPoly) else (
-                rule.num.used_variables() | rule.den.used_variables()
-            )
-            for v in used:
+            for v in rule.used_variables():
                 j = self.variables.index(v)
                 if j > i:
                     raise TriangularityViolated(i + 1, j + 1)
@@ -96,20 +94,11 @@ class PfaffianChain:
             and self.base == other.base
             and self.kind == other.kind
             and self.variables == other.variables
-            and all(_rules_equal(a, b) for a, b in zip(self.rules, other.rules))
-            and len(self.rules) == len(other.rules)
+            and self.rules == other.rules
         )
 
     def __repr__(self):
         return f"<chain {'; '.join(self.serialize())}>"
-
-
-def _rules_equal(a, b):
-    if isinstance(a, DiffPoly) and isinstance(b, DiffPoly):
-        return a == b
-    a = a if isinstance(a, DiffRatFunc) else DiffRatFunc.from_poly(a)
-    b = b if isinstance(b, DiffRatFunc) else DiffRatFunc.from_poly(b)
-    return a == b
 
 
 @dataclass(frozen=True)
@@ -273,24 +262,14 @@ def verify_forward(chain, element, f):
     chain.validate()
     expr = element.expr if isinstance(element, ChainElement) else element
     lhs = _derive_pair(chain, expr)
-    # for a constant f the key is None: nothing is substituted, but the
-    # element's pair still gives the ring to evaluate in
-    rhs = cleared_pair(f, {_univar_name(f): as_pair(expr)})
+    # a constant f substitutes nothing, but the element's pair still gives
+    # the ring to evaluate in
+    rhs = cleared_pair(f, {sole_variable(f): as_pair(expr)})
     if rhs[1].is_zero():
         return VerifyResult(False, witness="f is undefined at the element")
     if _pair_eq(lhs, rhs):
         return VerifyResult(True)
     return VerifyResult(False, witness=_pair_witness(lhs, rhs))
-
-
-def _univar_name(f):
-    if isinstance(f, DiffPoly):
-        used = f.used_variables()
-    else:
-        used = f.num.used_variables() | f.den.used_variables()
-    if len(used) > 1:
-        raise ArityMismatch("the defining equation must be univariate")
-    return used.pop() if used else None
 
 
 def verify_backward(g, assignments, system):
@@ -305,10 +284,9 @@ def verify_backward(g, assignments, system):
         raise ArityMismatch(
             f"{len(rules)} rules but {len(assignments)} assignments"
         )
-    wname = _univar_name(g)
-    if wname is None:
-        # constant defining equation: any ring carrying the assignments works
-        wname = g.variables[0] if g.variables else "w"
+    # a constant defining equation in no ring: any ring carrying the
+    # assignments works
+    wname = sole_variable(g, default="w")
     g_pair = as_pair(g)
     h_pairs = [as_pair(h) for h in assignments]
     pairs = dict(zip(system.variables, h_pairs))
@@ -370,7 +348,7 @@ def search_presentation(f, candidates=(), degree_bound=3):
     base = f.base
     if base.var is not None:
         raise NonConstantBase("the presentation search needs a constant base field")
-    name = _univar_name(f) or (f.variables[0] if f.variables else "y")
+    name = sole_variable(f, default="y")
     A = to_unipoly(f.num, name)
     B = to_unipoly(f.den, name)
     field = A.field

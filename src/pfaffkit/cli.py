@@ -179,12 +179,7 @@ def cmd_group_check(args):
         "group-check",
         args.group,
         allowed=str(allowed),
-        verdict=tv.value,
-        **(
-            {"witness": list(tv.witness)}
-            if tv.is_yes
-            else {"obstruction": tv.reason} if tv.is_no else {"reason": tv.reason}
-        ),
+        **_three_valued(tv),
     )
     return doc, 0
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .errors import (
     DegenerateCurve,
     InvalidFactoredForm,
-    NotMonic,
     ZeroDenominatorData,
 )
 from .exactfield import (
@@ -34,6 +33,7 @@ from .diffalg import (
     DiffRatFunc,
     from_unipoly,
     riccati_reduce,
+    sole_variable,
     to_unipoly,
 )
 from .chains import (
@@ -313,7 +313,7 @@ def extract_factored(f):
     quadratic splitting; anything left unfactored makes the whole
     extraction unavailable (callers then supply factored input).
     """
-    name = _main_var(f)
+    name = sole_variable(f, default="y")
     A = to_unipoly(f.num, name)
     B = to_unipoly(f.den, name)
     if A.is_zero() or B.is_zero():
@@ -333,13 +333,6 @@ def extract_factored(f):
         return None
 
 
-def _main_var(f):
-    used = f.num.used_variables() | f.den.used_variables()
-    if used:
-        return used.pop()
-    return f.variables[0] if f.variables else "y"
-
-
 def classify_order_one(f, factored=None, degree_bound=3, candidates=()):
     """Full cascade for y' = f(y).
 
@@ -352,7 +345,7 @@ def classify_order_one(f, factored=None, degree_bound=3, candidates=()):
     """
     f = f if isinstance(f, DiffRatFunc) else DiffRatFunc.from_poly(f)
     base = f.base
-    name = _main_var(f)
+    name = sole_variable(f, default="y")
 
     rational_chain = PfaffianChain(
         base,
@@ -439,15 +432,11 @@ def classify_linear(coeffs, declared_group, base):
     The chain verdict is the eulerian series check of the declared
     group; the solvability scan finds the least d <= n with a definite
     yes; for GL(n), n >= 3, the reducibility window is attached.  The
-    logarithmic-derivative reduction is always computed.
+    logarithmic-derivative reduction is always computed, and
+    ``riccati_reduce`` rejects an equation that is not monic.
     """
-    coeffs = [base.coerce(c) for c in coeffs]
-    if len(coeffs) < 2:
-        raise NotMonic("a linear equation needs order >= 1")
-    if not (coeffs[-1] - base.one()).is_zero():
-        raise NotMonic("leading coefficient must be 1")
-    order = len(coeffs) - 1
     reduction = riccati_reduce(coeffs, base)
+    order = len(coeffs) - 1
     pfaffian = check_series(declared_group, EULERIAN)
     min_d = None
     for d in range(1, order + 1):

@@ -13,6 +13,9 @@ and ``exactfield.dense_gcd``.
 ``RatFunc`` and ``DiffRatFunc`` share their field operations through the
 base class ``_Fraction``.  Printing is ``exactfield``'s term printer, with
 ``BaseDiffField.term_str`` rendering one coefficient times a monomial.
+``sole_variable`` is the one rule for the variable of an equation: the
+variable its right-hand side uses, else its ring's first one, and
+ArityMismatch when it uses several.
 
 Substitution has one engine: ``cleared_pair`` evaluates a differential
 polynomial or fraction at (numerator, denominator) pairs and returns one
@@ -352,9 +355,6 @@ class DiffPoly:
     def constant_coefficient(self):
         return self.terms.get((0,) * len(self.variables), self.base.zero())
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
     def degree_in(self, name):
         i = self._var_index(name)
         return max((e[i] for e in self.terms), default=0)
@@ -556,12 +556,15 @@ class DiffRatFunc(_Fraction):
         return self.num.variables
 
     def as_polynomial(self):
-        """The underlying DiffPoly when the denominator is constant, else None."""
-        if not self.den.is_constant():
-            return None
-        c = self.den.constant_coefficient()
-        inv = 1 / c if isinstance(c, RatFunc) else c.inverse()
-        return self.num * inv
+        """The numerator when the denominator is constant, else None.
+
+        A constant denominator has been normalised to 1 by ``_reduce_fraction``.
+        """
+        return self.num if self.den.is_constant() else None
+
+    def used_variables(self):
+        """The ring variables that occur in the numerator or the denominator."""
+        return self.num.used_variables() | self.den.used_variables()
 
     def _coerce(self, other):
         if isinstance(other, DiffRatFunc):
@@ -613,15 +616,20 @@ class DiffRatFunc(_Fraction):
         return ratio_str(str(self.num), str(self.den))
 
 
-def _single_variable(p, q):
-    used = set()
-    for poly in (p, q):
-        used |= poly.used_variables()
+def sole_variable(f, default=None):
+    """The one ring variable a DiffPoly or DiffRatFunc uses.
+
+    When f uses none, the ring's first variable, or ``default`` in a ring
+    without variables; ArityMismatch when f uses more than one.
+    """
+    used = f.used_variables()
     if len(used) > 1:
-        return None
-    if not used:
-        return p.variables[0] if p.variables else None
-    return used.pop()
+        raise ArityMismatch(
+            f"expected a function of one variable, not of {', '.join(sorted(used))}"
+        )
+    if used:
+        return used.pop()
+    return f.variables[0] if f.variables else default
 
 
 def univar_dense(p, name):
@@ -659,15 +667,16 @@ def _reduce_fraction(num, den):
     base, variables = num.base, num.variables
     if num.is_zero():
         return num, DiffPoly.const(base, variables, 1)
-    name = _single_variable(num, den)
-    if name is not None and variables and base.var is None and base.field is None:
+    used = num.used_variables() | den.used_variables()
+    name = used.pop() if len(used) == 1 else None
+    if name is not None and base.var is None and base.field is None:
         # over Q, UniPoly's gcd and division run on integers
         a, b = to_unipoly(num, name), to_unipoly(den, name)
         g = poly_gcd(a, b)
         if g.degree > 0:
             num = from_unipoly(a // g, base, variables, name)
             den = from_unipoly(b // g, base, variables, name)
-    elif name is not None and variables:
+    elif name is not None:
         a = univar_dense(num, name)
         b = univar_dense(den, name)
         g = dense_gcd(a, b)
@@ -677,7 +686,7 @@ def _reduce_fraction(num, den):
             num = dense_to_diffpoly(base, variables, name, dense_divmod(a, g, one)[0])
             den = dense_to_diffpoly(base, variables, name, dense_divmod(b, g, one)[0])
     else:
-        # multivariate: cancel common monomial content only
+        # several variables, or none: cancel common monomial content only
         def content(p):
             it = iter(p.terms)
             m = list(next(it))
@@ -814,13 +823,12 @@ def substitute(f, h):
     """
     if isinstance(f, DiffPoly):
         f = DiffRatFunc.from_poly(f)
-    used = f.num.used_variables() | f.den.used_variables()
+    used = f.used_variables()
     if len(used) > 1:
         raise UnknownVariable("composition requires a univariate function")
     if not used:
         return f
-    name = used.pop()
-    return f.substitute({name: h})
+    return f.substitute({used.pop(): h})
 
 
 def substitute_cleared(f_num, f_den, r, s, d=2):

@@ -19,6 +19,13 @@ Grammar sketch::
 Field declarations: ``Q``, ``Q(t)``, ``Q(r: r^2-2)``, ``Q(r: r^2-2, z)``.
 Group expressions: ``Ga | Gm | GaxGm | SL(n) | GL(n) | PSL(n) | PGL(n)
 | T(k) | E | Fin | Prod(g, ...) | Ext(g, g) | Sub(g)``.
+
+One reader, ``_parse_rule``, reads every ``v' = expr`` line: the
+command-line equation and the fixture ``rule:``, ``defining:`` and
+``ode:`` lines.  A fixture file is read in one pass that parses each line
+to an AST; the values are evaluated once the base field is known.  Its
+keys are closed, and every key but ``rule`` and ``assign`` appears at
+most once.
 """
 
 from __future__ import annotations
@@ -293,14 +300,6 @@ class EvalContext:
     base: BaseDiffField
     ring: tuple
     gen_name: str | None
-
-    def names(self):
-        out = set(self.ring)
-        if self.gen_name:
-            out.add(self.gen_name)
-        if self.base.var:
-            out.add(self.base.var)
-        return out
 
 
 def _fold(node, leaf, combine):
@@ -598,18 +597,38 @@ def _parse_decl_tokens(decl_tokens, context=" after the field declaration"):
     return decl
 
 
-def _detect_var(tokens, exclude):
-    for t in tokens:
-        if t.kind == "name" and t.value in ("t", "z") and t.value not in exclude:
-            return t.value
-    return None
+def _base_from(tokens, decl, var=None):
+    """The base field of ``decl``; the independent variable is ``var``, else
+    the declared one, else the first ``t`` or ``z`` among ``tokens``."""
+    var = var or decl.var or next((
+        t.value for t in tokens
+        if t.kind == "name" and t.value in ("t", "z") and t.value != decl.gen_name
+    ), None)
+    return BaseDiffField(decl.field, var)
 
 
-def _context_from(tokens, decl, ring):
-    exclude = {decl.gen_name} if decl.gen_name else set()
-    var = decl.var or _detect_var(tokens, exclude)
-    base = BaseDiffField(decl.field, var)
-    return EvalContext(base=base, ring=ring, gen_name=decl.gen_name)
+def _parse_rule(stream, bad_head, name=None):
+    """Read ``v' = <expr>`` up to the end of ``stream``: (head token, AST).
+
+    The head is a name with one prime, and ``name`` itself when given;
+    otherwise the ParseError ``bad_head(head)`` is raised, so that each
+    caller keeps its own message and position.
+    """
+    head = stream.next()
+    if head.kind != "name" or head.primes != 1 or name not in (None, head.value):
+        raise bad_head(head)
+    stream.expect_op("=")
+    node = parse_expr(stream)
+    stream.expect_end()
+    return head, node
+
+
+def _split_text(text):
+    """``<body> [over <decl>]`` as a stream over the body, the FieldDecl and the base."""
+    tokens = tokenize(text)
+    body, decl_tokens = _split_over(tokens)
+    decl = _parse_decl_tokens(decl_tokens)
+    return _Stream(body + [tokens[-1]]), decl, _base_from(body, decl)
 
 
 # ---------------------------------------------------------------------------
@@ -634,23 +653,17 @@ def parse_ratfunc_text(text, varname="y"):
 
 
 def _parse_function_text(text, varname, equation):
-    tokens = tokenize(text)
-    expr_tokens, decl_tokens = _split_over(tokens)
-    decl = _parse_decl_tokens(decl_tokens)
-    stream = _Stream(expr_tokens + [tokens[-1]])
+    stream, decl, base = _split_text(text)
     if equation:
-        head = stream.next()
-        if head.kind != "name" or head.value != varname or head.primes != 1:
-            raise ParseError(
-                f"an order-one equation starts with {varname}'",
-                head.line, head.col, expected=[f"{varname}'"],
-            )
-        stream.expect_op("=")
-    node = parse_expr(stream)
-    stream.expect_end()
-    ctx = _context_from(expr_tokens, decl, (varname,))
-    f = eval_ratfunc(node, ctx)
-    return OdeSpec(f=f, base=ctx.base, gen_name=decl.gen_name, varname=varname)
+        _, node = _parse_rule(stream, lambda head: ParseError(
+            f"an order-one equation starts with {varname}'",
+            head.line, head.col, expected=[f"{varname}'"],
+        ), varname)
+    else:
+        node = parse_expr(stream)
+        stream.expect_end()
+    f = eval_ratfunc(node, EvalContext(base, (varname,), decl.gen_name))
+    return OdeSpec(f=f, base=base, gen_name=decl.gen_name, varname=varname)
 
 
 @dataclass(frozen=True)
@@ -662,10 +675,7 @@ class LinearSpec:
 
 def parse_linear_text(text, yname="y"):
     """Parse a monic linear equation ``... = 0`` into its coefficient list."""
-    tokens = tokenize(text)
-    expr_tokens, decl_tokens = _split_over(tokens)
-    decl = _parse_decl_tokens(decl_tokens)
-    stream = _Stream(expr_tokens + [tokens[-1]])
+    stream, decl, base = _split_text(text)
     node = parse_expr(stream)
     t = stream.next()
     if t.kind != "op" or t.value != "=":
@@ -674,15 +684,14 @@ def parse_linear_text(text, yname="y"):
     if zero.kind != "number" or zero.value != 0:
         raise ParseError("a linear equation must end in '= 0'", zero.line, zero.col)
     stream.expect_end()
-    ctx = _context_from(expr_tokens, decl, ())
-    form = eval_linear(node, ctx, yname=yname)
+    form = eval_linear(node, EvalContext(base, (), decl.gen_name), yname=yname)
     if form.is_scalar() or not form.orders:
         raise ParseError("the equation does not involve y", 1, 1)
     if not form.scalar.is_zero():
         raise ParseError("the equation must be homogeneous linear in y", 1, 1)
     order = max(form.orders)
-    coeffs = [form.orders.get(k, ctx.base.zero()) for k in range(order + 1)]
-    return LinearSpec(coeffs=tuple(coeffs), base=ctx.base, gen_name=decl.gen_name)
+    coeffs = [form.orders.get(k, base.zero()) for k in range(order + 1)]
+    return LinearSpec(coeffs=tuple(coeffs), base=base, gen_name=decl.gen_name)
 
 
 # ---------------------------------------------------------------------------
@@ -761,10 +770,19 @@ class Fixture:
     assignments: tuple = ()   # backward
 
 
+_FIXTURE_KEYS = ("field", "var", "system", "rule", "defining", "assign", "element", "ode")
+
+
 def parse_fixture_text(text):
+    """Read a fixture: each line is parsed on the way, then evaluated in its ring.
+
+    Keys are closed; ``rule:`` and ``assign:`` may repeat and every other
+    key appears at most once.  The base field is known only after the last
+    line, so values are kept as ASTs until then.
+    """
     from .chains import NoetherianSystem, PfaffianChain
 
-    entries = []
+    single, rules, assigns, body_tokens = {}, [], [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -772,115 +790,100 @@ def parse_fixture_text(text):
         if ":" not in line:
             raise ParseError("fixture lines look like 'key: value'", lineno, 1)
         key, _, value = line.partition(":")
-        entries.append((key.strip(), value.strip(), lineno))
-
-    decl = FieldDecl(None, None, None)
-    declared_var = None
-    noetherian = False
-    for key, value, lineno in entries:
+        key, value = key.strip(), value.strip()
+        if key not in _FIXTURE_KEYS:
+            raise ParseError(
+                f"unknown fixture key {key!r}", lineno, 1, expected=_FIXTURE_KEYS
+            )
+        if key in single:
+            raise ParseError(f"a second {key!r} line", lineno, 1)
         if key == "field":
-            decl = parse_field_decl_text(value)
-        elif key == "var":
+            single[key] = parse_field_decl_text(value)
+            continue
+        if key == "var":
             if value not in ("t", "z"):
                 raise ParseError("the independent variable must be t or z", lineno, 1)
-            declared_var = value
-        elif key == "system":
+            single[key] = value
+            continue
+        if key == "system":
             if value != "noetherian":
                 raise ParseError("system must be 'noetherian' when given", lineno, 1)
-            noetherian = True
-
-    exclude = {decl.gen_name} if decl.gen_name else set()
-    body_tokens = []
-    for key, value, _ in entries:
-        if key in ("rule", "defining", "assign", "element", "ode"):
-            body_tokens.extend(tokenize(value)[:-1])
-    var = declared_var or decl.var or _detect_var(body_tokens, exclude)
-    base = BaseDiffField(decl.field, var)
-
-    rules_text = [(v, ln) for k, v, ln in entries if k == "rule"]
-    ring = []
-    heads = []
-    for i, (value, lineno) in enumerate(rules_text):
-        stream = _Stream(tokenize(value))
-        head = stream.next()
-        if head.kind != "name" or head.primes != 1:
-            raise ParseError(f"rule {i + 1} must look like name' = ...", lineno, 1)
-        if not noetherian and head.value != f"y{i + 1}":
-            raise ParseError(f"rule {i + 1} must define y{i + 1}'", lineno, 1)
-        if head.value in ring:
-            raise ParseError(f"rule variable {head.value!r} repeated", lineno, 1)
-        ring.append(head.value)
-        heads.append((stream, lineno))
-    ring = tuple(ring)
-    ctx_chain = EvalContext(base=base, ring=ring, gen_name=decl.gen_name)
-
-    rules = []
-    for stream, lineno in heads:
-        stream.expect_op("=")
-        node = parse_expr(stream)
-        stream.expect_end()
-        rules.append(eval_ratfunc(node, ctx_chain))
-    kind = "polynomial"
-    converted = []
-    for r in rules:
-        p = r.as_polynomial()
-        if p is None:
-            kind = "rational"
-            break
-    for r in rules:
-        if kind == "polynomial":
-            converted.append(r.as_polynomial())
+            single[key] = value
+            continue
+        tokens = tokenize(value)
+        body_tokens.extend(tokens[:-1])
+        stream = _Stream(tokens)
+        if key == "rule":
+            i = len(rules) + 1
+            head, node = _parse_rule(stream, lambda head: ParseError(
+                f"rule {i} must look like name' = ...", lineno, 1,
+            ))
+            rules.append((head, node, lineno))
+        elif key == "defining":
+            single[key] = _parse_rule(stream, lambda head: ParseError(
+                "the defining line looks like w' = g(w)", lineno, 1,
+            ))
+        elif key == "ode":
+            single[key] = _parse_rule(stream, lambda head: ParseError(
+                "expected y' = ...", head.line, head.col,
+            ), "y")
+        elif key == "element":
+            single[key] = parse_expr(stream)
+            stream.expect_end()
         else:
-            converted.append(r)
-    if noetherian:
-        if kind != "polynomial":
-            raise ParseError("an unconstrained system needs polynomial rules", 1, 1)
-        chain = NoetherianSystem(base, converted, ring)
-    else:
-        chain = PfaffianChain(base, kind, converted, ring).validate()
-
-    defining = None
-    assignments = []
-    element = None
-    ode = None
-    for key, value, lineno in entries:
-        if key == "defining":
-            stream = _Stream(tokenize(value))
-            head = stream.next()
-            if head.kind != "name" or head.primes != 1:
-                raise ParseError("the defining line looks like w' = g(w)", lineno, 1)
-            wname = head.value
-            stream.expect_op("=")
-            node = parse_expr(stream)
-            ctx_w = EvalContext(base=base, ring=(wname,), gen_name=decl.gen_name)
-            defining = eval_ratfunc(node, ctx_w)
-        elif key == "assign":
-            stream = _Stream(tokenize(value))
-            if (
-                stream.peek().kind == "name"
-                and stream.tokens[stream.pos + 1].kind == "op"
-                and stream.tokens[stream.pos + 1].value == "="
-            ):
-                stream.next()
+            # an assignment may be named: 'assign: y1 = ...'
+            named = None
+            if tokens[0].kind == "name" and tokens[1].kind == "op" and tokens[1].value == "=":
+                named = stream.next()
                 stream.next()
             node = parse_expr(stream)
             stream.expect_end()
-            assignments.append((node, lineno))
-        elif key == "element":
-            node = parse_expression_text(value)
-            element = eval_ratfunc(node, ctx_chain)
-        elif key == "ode":
-            ode = parse_ode_in_base(value, base, decl.gen_name)
+            assigns.append((named, node, lineno))
 
-    if defining is not None:
-        wname = _defining_var(defining)
-        ctx_w = EvalContext(base=base, ring=(wname,), gen_name=decl.gen_name)
-        done = [eval_ratfunc(node, ctx_w) for node, _ in assignments]
+    decl = single.get("field", FieldDecl(None, None, None))
+    noetherian = "system" in single
+    base = _base_from(body_tokens, decl, single.get("var"))
+
+    def evaluate(node, ring):
+        return eval_ratfunc(node, EvalContext(base=base, ring=ring, gen_name=decl.gen_name))
+
+    ring = []
+    for i, (head, _, lineno) in enumerate(rules, start=1):
+        if not noetherian and head.value != f"y{i}":
+            raise ParseError(f"rule {i} must define y{i}'", lineno, 1)
+        if head.value in ring:
+            raise ParseError(f"rule variable {head.value!r} repeated", lineno, 1)
+        ring.append(head.value)
+    ring = tuple(ring)
+    rules = [evaluate(node, ring) for _, node, _ in rules]
+    polys = [r.as_polynomial() for r in rules]
+    kind = "rational" if any(p is None for p in polys) else "polynomial"
+    if kind == "polynomial":
+        rules = polys
+    if noetherian:
+        if kind != "polynomial":
+            raise ParseError("an unconstrained system needs polynomial rules", 1, 1)
+        chain = NoetherianSystem(base, rules, ring)
+    else:
+        chain = PfaffianChain(base, kind, rules, ring).validate()
+
+    if "defining" in single:
+        head, node = single["defining"]
+        w_ring = (head.value,)
+        defining = evaluate(node, w_ring)
+        assignments = []
+        for k, (named, node, lineno) in enumerate(assigns, start=1):
+            if named is not None and k <= len(ring) and (named.primes or named.value != ring[k - 1]):
+                raise ParseError(
+                    f"assignment {k} must name {ring[k - 1]}, the variable of rule {k}",
+                    lineno, 1,
+                )
+            assignments.append(evaluate(node, w_ring))
         return Fixture(
             mode="backward", base=base, chain=chain,
-            defining=defining, assignments=tuple(done),
+            defining=defining, assignments=tuple(assignments),
         )
-    if element is None or ode is None:
+    if "element" not in single or "ode" not in single:
         raise ParseError(
             "a forward fixture needs 'element:' and 'ode:' lines; a backward "
             "fixture needs 'defining:' and 'assign:' lines", 1, 1,
@@ -889,21 +892,7 @@ def parse_fixture_text(text):
         raise ParseError(
             "forward verification runs against triangular chains only", 1, 1
         )
-    return Fixture(mode="forward", base=base, chain=chain, element=element, ode=ode)
-
-
-def _defining_var(g):
-    used = g.num.used_variables() | g.den.used_variables()
-    return used.pop() if used else g.variables[0]
-
-
-def parse_ode_in_base(text, base, gen_name, varname="y"):
-    stream = _Stream(tokenize(text))
-    head = stream.next()
-    if head.kind != "name" or head.value != varname or head.primes != 1:
-        raise ParseError(f"expected {varname}' = ...", head.line, head.col)
-    stream.expect_op("=")
-    node = parse_expr(stream)
-    stream.expect_end()
-    ctx = EvalContext(base=base, ring=(varname,), gen_name=gen_name)
-    return eval_ratfunc(node, ctx)
+    return Fixture(
+        mode="forward", base=base, chain=chain,
+        element=evaluate(single["element"], ring), ode=evaluate(single["ode"][1], ("y",)),
+    )

@@ -4,12 +4,14 @@ import random
 import string
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import pfaffkit as pk
 from pfaffkit.cli import run
 from pfaffkit.diffalg import BaseDiffField
+from pfaffkit.errors import ArityMismatch
 from pfaffkit.parser import (
     EvalContext,
     ParseError,
@@ -258,6 +260,67 @@ class TestCommands:
         doc1, _ = invoke("group-check", "--allowed", "eulerian", "Gm")
         doc2, _ = invoke("--pretty", "group-check", "--allowed", "eulerian", "Gm")
         assert doc1 == doc2
+
+
+def readme_fixtures():
+    """The ``text`` blocks of the README section on fixture files."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Fixture files", 1)[1].split("\n### ", 1)[0]
+    return [block.split("```", 1)[0] for block in section.split("```text\n")[1:]]
+
+
+class TestFixtureFiles:
+    def test_readme_examples_pass(self, tmp_path):
+        blocks = readme_fixtures()
+        assert len(blocks) == 3
+        for text in blocks:
+            fx = tmp_path / "readme.pfaff"
+            fx.write_text(text, encoding="utf-8")
+            mode = "backward" if "defining:" in text else "forward"
+            doc, code = invoke("chain-verify", "--mode", mode, str(fx))
+            assert code == 0 and doc["result"] == "pass", (text, doc)
+
+    def lambert(self):
+        with open(LAMBERT, encoding="utf-8") as fh:
+            return fh.read()
+
+    def test_unknown_key_rejected(self):
+        text = self.lambert() + "rul: y2' = y2 + y1\n"
+        with pytest.raises(ParseError) as err:
+            parse_fixture_text(text)
+        assert err.value.message == "unknown fixture key 'rul'"
+        assert err.value.line == len(text.splitlines())
+
+    @pytest.mark.parametrize("text, line", [
+        ("rule: y1' = -1/2*y1^3\nelement: 1/y1\nelement: y1\node: y' = 1/(2*y)\n", 3),
+        ("rule: y1' = -1/2*y1^3\nelement: 1/y1\node: y' = 1/(2*y)\node: y' = y\n", 4),
+        ("field: Q\nrule: y1' = -1/2*y1^3\nelement: 1/y1\nfield: Q(t)\node: y' = 1/(2*y)\n", 4),
+        ("var: z\nvar: t\ndefining: w' = w\nrule: y1' = y1\nassign: w\n", 2),
+        ("system: noetherian\ndefining: y' = y\nsystem: noetherian\nrule: y' = y\n", 3),
+        ("defining: w' = w\nrule: y1' = y1\nassign: w\ndefining: w' = 2*w\n", 4),
+    ], ids=["element", "ode", "field", "var", "system", "defining"])
+    def test_single_valued_key_appears_once(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_fixture_text(text)
+        assert err.value.message.startswith("a second ")
+        assert err.value.line == line
+
+    def test_named_assignment_must_match_its_rule(self):
+        text = self.lambert().replace("assign: y1 = 1/(1+w)", "assign: y2 = 1/(1+w)")
+        text = text.replace("assign: y2 = w", "assign: y9 = w")
+        with pytest.raises(ParseError) as err:
+            parse_fixture_text(text)
+        assert err.value.message == "assignment 1 must name y1, the variable of rule 1"
+
+    def test_named_and_unnamed_assignments_read_alike(self):
+        text = self.lambert()
+        unnamed = text.replace("assign: y1 = ", "assign: ").replace("assign: y2 = ", "assign: ")
+        assert parse_fixture_text(unnamed) == parse_fixture_text(text)
+
+    def test_extra_assignment_is_an_arity_mismatch(self):
+        fixture = parse_fixture_text(self.lambert() + "assign: y3 = 1\n")
+        with pytest.raises(ArityMismatch):
+            pk.verify_backward(fixture.defining, list(fixture.assignments), fixture.chain)
 
 
 class TestSharedParser:

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +21,7 @@ from pfaffkit.criteria import (
 )
 from pfaffkit.diffalg import BaseDiffField, DiffPoly, DiffRatFunc
 from pfaffkit.errors import (
+    ArityMismatch,
     DegenerateCurve,
     InvalidFactoredForm,
     NotMonic,
@@ -325,6 +329,36 @@ class TestExtractFactored:
     def test_unfactorable_over_rationals(self):
         spec = ode_f("y' = (y^2-2)/y")
         assert extract_factored(spec.f) is None
+
+    # f = (y1-2)(y1-3)/(y2(y1-1)) uses two variables; the variable was once
+    # picked from a set, so string hashing decided whether it factored
+    TWO_VARIABLES = (
+        "from pfaffkit.diffalg import BaseDiffField\n"
+        "from pfaffkit.parser import EvalContext, eval_ratfunc, parse_expression_text\n"
+        "from pfaffkit.criteria import extract_factored\n"
+        "ctx = EvalContext(BaseDiffField.constants(), ('y1', 'y2'), None)\n"
+        "f = eval_ratfunc(parse_expression_text('(y1-2)*(y1-3)/(y2*(y1-1))'), ctx)\n"
+    )
+
+    def test_two_variables_are_an_arity_error(self):
+        y1, y2 = (DiffPoly.var(C, ("y1", "y2"), v) for v in ("y1", "y2"))
+        with pytest.raises(ArityMismatch):
+            extract_factored(DiffRatFunc((y1 - 2) * (y1 - 3), y2 * (y1 - 1)))
+
+    @pytest.mark.parametrize("seed", ["0", "2"])
+    def test_two_variables_under_hash_seed(self, seed):
+        script = self.TWO_VARIABLES + (
+            "try:\n"
+            "    print(extract_factored(f))\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            check=False, timeout=30, env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ArityMismatch"
 
 
 class TestClassifyLinear:

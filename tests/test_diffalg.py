@@ -11,9 +11,11 @@ from pfaffkit.diffalg import (
     DiffRatFunc,
     RatFunc,
     riccati_reduce,
+    sole_variable,
     substitute,
 )
 from pfaffkit.errors import (
+    ArityMismatch,
     DenominatorVanishesIdentically,
     NotMonic,
     UnknownVariable,
@@ -286,6 +288,38 @@ def outcome(call):
         return call()
     except (DenominatorVanishesIdentically, UnknownVariable) as exc:
         return type(exc), str(exc)
+
+
+class TestSoleVariable:
+    def test_the_used_variable(self):
+        y1, y2 = yvars(Kt)
+        assert sole_variable(DiffRatFunc(y2 + 1, y2 * y2 - 3)) == "y2"
+        assert sole_variable(y1 * y1) == "y1"
+
+    def test_a_constant_takes_the_first_ring_variable(self):
+        y1, y2 = yvars(C)
+        assert sole_variable(DiffRatFunc.from_poly(y2 - y2 + 5)) == "y1"
+        none = DiffPoly.const(C, (), 2)
+        assert sole_variable(none) is None
+        assert sole_variable(DiffRatFunc.from_poly(none), default="w") == "w"
+
+    def test_two_variables_are_an_arity_error(self):
+        y1, y2 = yvars(C)
+        with pytest.raises(ArityMismatch):
+            sole_variable(DiffRatFunc(y1 - 2, y2))
+
+    def test_used_variables_of_a_fraction(self):
+        y1, y2, y3 = yvars(Kt, ("y1", "y2", "y3"))
+        assert DiffRatFunc(y1 + 1, y3 * y3).used_variables() == {"y1", "y3"}
+        assert DiffRatFunc.from_poly(y1 - y1 + Kt.gen()).used_variables() == set()
+
+    def test_as_polynomial_is_the_numerator(self):
+        y1, _ = yvars(Kt)
+        t = Kt.gen()
+        f = DiffRatFunc(t * y1 ** 2 + 1, DiffPoly.const(Kt, ("y1", "y2"), 2 * t))
+        assert f.as_polynomial() is f.num
+        assert f.as_polynomial() == (t * y1 ** 2 + 1) * (1 / (2 * t))
+        assert DiffRatFunc(y1, y1 + 1).as_polynomial() is None
 
 
 class TestSubstitutionEngine:

@@ -354,13 +354,17 @@ TRAILING = [
         lambda: parse_fixture_text(FORWARD.replace("1/(2*y)", "1/(2*y) 2")),
         "trailing number 2", 1, 14,
     ),
+    (
+        lambda: parse_fixture_text(BACKWARD.replace("w/(z*(1+w))", "w/(z*(1+w)) 7 junk")),
+        "trailing number 7", 1, 18,
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "parse, message, line, col", TRAILING,
     ids=["expression", "field", "after-over", "function", "linear", "group",
-         "fixture-rule", "fixture-assign", "fixture-ode"],
+         "fixture-rule", "fixture-assign", "fixture-ode", "fixture-defining"],
 )
 def test_trailing_token_messages(parse, message, line, col):
     with pytest.raises(ParseError) as err:
