@@ -11,6 +11,13 @@ derivative of the candidate element through the chain rules and
 ``verify_backward`` differentiates candidate assignments through a
 defining equation.  Both reduce to exact cross-multiplied polynomial
 identities.
+
+The presentation search decides each candidate by one exact division.
+In front of it, a test modulo a prime (``_modular_test``) rejects a
+candidate only when the division provably leaves a remainder.  When the
+prime divides a denominator, or the image of the divisor does not show
+its exact degree with a unit leading coefficient, the candidate is left
+to the exact test.
 """
 
 from __future__ import annotations
@@ -40,7 +47,14 @@ from .diffalg import (
     substitute_cleared,
     to_unipoly,
 )
-from .exactfield import AlgebraicScalar, UniPoly, extract_linear_roots, poly_gcd, ratio_str
+from .exactfield import (
+    AlgebraicScalar,
+    ModularPolys,
+    UniPoly,
+    extract_linear_roots,
+    poly_gcd,
+    ratio_str,
+)
 
 
 def _chain_vars(n):
@@ -131,6 +145,17 @@ class NoetherianSystem:
 
     def serialize(self):
         return [f"{v}' = {rule}" for v, rule in zip(self.variables, self.rules)]
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, NoetherianSystem)
+            and self.base == other.base
+            and self.variables == other.variables
+            and self.rules == other.rules
+        )
+
+    def __hash__(self):
+        return hash((self.base, self.variables, self.rules))
 
     def __repr__(self):
         return f"<noetherian {'; '.join(self.serialize())}>"
@@ -294,11 +319,11 @@ def verify_backward(g, assignments, system):
         N, D = h_pairs[i]
         dN, dD = N.partial(wname), D.partial(wname)
         h_prime = (dN * D - N * dD, D * D)
-        h_delta = (
-            N.coeff_derivation() * D - N * D.coeff_derivation(),
-            D * D,
-        )
-        lhs = pair_add(pair_mul(h_prime, g_pair), h_delta)
+        lhs = pair_mul(h_prime, g_pair)
+        # the coefficient derivation vanishes over constants
+        delta = N.coeff_derivation() * D - N * D.coeff_derivation()
+        if not delta.is_zero():
+            lhs = pair_add(lhs, (delta, D * D))
         rhs = cleared_pair(rule, pairs)
         if not _pair_eq(lhs, rhs):
             return VerifyResult(False, index=i + 1, witness=_pair_witness(lhs, rhs))
@@ -339,10 +364,12 @@ def search_presentation(f, candidates=(), degree_bound=3):
     (R, S) pairs.  A candidate is accepted only when its rule
     P = f(h) S^2 / W is a polynomial: with f(h) S^2 = N/D in lowest
     terms (``substitute_cleared``) and W = R'S - RS', that is when D*W
-    divides N exactly, and P is the quotient.  This is a semi-decision:
-    no bound on chain length exists, so an empty result is *not* a
-    refutation.  Every returned certificate has already passed
-    ``verify_forward``.
+    divides N exactly, and P is the quotient.  Before that exact test a
+    modular one (``_modular_test``) rejects most candidates at the cost of
+    a few products mod a prime; it only ever rejects a candidate the exact
+    test would reject.  This is a semi-decision: no bound on chain length
+    exists, so an empty result is *not* a refutation.  Every returned
+    certificate has already passed ``verify_forward``.
     """
     f = f if isinstance(f, DiffRatFunc) else DiffRatFunc.from_poly(f)
     base = f.base
@@ -351,8 +378,22 @@ def search_presentation(f, candidates=(), degree_bound=3):
     name = sole_variable(f, default="y")
     A = to_unipoly(f.num, name)
     B = to_unipoly(f.den, name)
-    field = A.field
+    rejects = _modular_test(A, B)
+    for r, s, w in _candidates(A, B, candidates, degree_bound):
+        if rejects(r, s, w):
+            continue
+        p = _presentation_rule(A, B, r, s, w)
+        if p is None:
+            continue
+        cert = _build_certificate(base, r, s, p, f, name)
+        if cert is not None:
+            return cert
+    return None
 
+
+def _candidates(A, B, extra, degree_bound):
+    """The distinct non-constant (R, S, W) of the catalog for f = A/B, in search order."""
+    field = A.field
     points = {AlgebraicScalar.rational(0).lift(field), AlgebraicScalar.rational(1).lift(field)}
     for poly in (A, B):
         roots, _ = extract_linear_roots(poly)
@@ -375,8 +416,7 @@ def search_presentation(f, candidates=(), degree_bound=3):
             catalog.append((x - UniPoly.const(c, field), x - UniPoly.const(d, field)))
     catalog.append((x * x, one))
     catalog.append((one, x * x))
-    for r, s in candidates:
-        catalog.append((r, s))
+    catalog.extend(extra)
 
     seen = set()
     for r, s in catalog:
@@ -392,15 +432,68 @@ def search_presentation(f, candidates=(), degree_bound=3):
         if max(r.degree, s.degree) > degree_bound:
             continue
         w = r.derivative() * s - r * s.derivative()
-        if w.is_zero():
-            continue  # h constant: not a presentation
-        p = _presentation_rule(A, B, r, s, w)
-        if p is None:
-            continue
-        cert = _build_certificate(base, r, s, p, f, name)
-        if cert is not None:
-            return cert
-    return None
+        # W = 0 means h is constant: not a presentation
+        if not w.is_zero():
+            yield r, s, w
+
+
+def _modular_test(A, B):
+    """The test ``(r, s, w) -> True | False | None`` run in front of ``_presentation_rule``.
+
+    With n = deg A, m = deg B, e = m - n + 2 and the homogenized
+    A~ = sum a_i R^i S^(n-i) (B~ likewise), the rule f(R/S) S^2 / W is a
+    polynomial exactly when the divisor B~ W S^max(-e,0) divides the
+    dividend A~ S^max(e,0).  The test computes both mod one prime
+    (``ModularPolys``; A and B are reduced once) and answers True, a sure
+    rejection, only when the remainder mod p is nonzero; False when it is
+    zero; None when it cannot decide.  It cannot when p divides a
+    denominator of A, B, R, S or of the defining polynomial, and when the
+    image of the divisor has no unit at the divisor's degree bound
+    max(i deg R + (m - i) deg S over b_i != 0) + deg W + max(-e,0) deg S.
+    That bound is the exact degree unless deg R == deg S and the top terms
+    of B~ cancel, and a coefficient whose image is a unit is nonzero: so a
+    unit there fixes the exact degree and makes the division commute with
+    reduction mod p.  Over Q(theta) the defining polynomial may split mod
+    p, and a nonzero image need not be a unit.
+    """
+    ring = ModularPolys(A.field)
+    a, b = ring.image(A), ring.image(B)
+    if a is None or b is None:
+        return lambda r, s, w: None
+    d, n, m = ring.d, A.degree, B.degree
+    e = m - n + 2
+    support = [i for i in range(m + 1) if any(B.nums[i * d:(i + 1) * d])]
+    one = [1] + [0] * (d - 1)
+
+    def homogenized(img, deg, r, s):
+        # Horner from the top: acc = acc*R + c_i*S^(deg-i)
+        acc, spow = [], one
+        for i in range(deg, -1, -1):
+            acc = ring.mul(acc, r, img[i * d:(i + 1) * d], spow)
+            if i and s != one:
+                spow = ring.mul(spow, s)
+        return acc
+
+    def test(r, s, w):
+        ri, si, wi = ring.image(r), ring.image(s), ring.image(w)
+        if ri is None or si is None or wi is None:
+            return None
+        bound = max(i * r.degree + (m - i) * s.degree for i in support) + w.degree
+        divisor = ring.mul(homogenized(b, m, ri, si), wi)
+        for _ in range(-e):
+            divisor = ring.mul(divisor, si)
+            bound += s.degree
+        if len(divisor) != (bound + 1) * d:
+            return None
+        inv = ring.unit_inverse(divisor[-d:])
+        if inv is None:
+            return None
+        dividend = homogenized(a, n, ri, si)
+        for _ in range(e):
+            dividend = ring.mul(dividend, si)
+        return bool(ring.remainder(dividend, ring.mul(inv, divisor)))
+
+    return test
 
 
 def _presentation_rule(A, B, r, s, w):

@@ -758,6 +758,8 @@ def cleared_pair(value, pairs):
     for e in value.terms:
         for i, k in enumerate(e):
             maxdeg[i] = max(maxdeg[i], k)
+    # a factor equal to one (a zeroth power, a power of a denominator one)
+    # is left out of every product
     num_pows, den_pows = [], []
     for i, v in enumerate(variables):
         if maxdeg[i] == 0 or v not in pairs:
@@ -765,27 +767,33 @@ def cleared_pair(value, pairs):
             den_pows.append(None)
             continue
         n, d = pairs[v]
-        npow, dpow = [one], [one]
-        for _ in range(maxdeg[i]):
+        unit = d == one
+        npow, dpow = [None, n], [None, None if unit else d]
+        for _ in range(maxdeg[i] - 1):
             npow.append(npow[-1] * n)
-            dpow.append(dpow[-1] * d)
+            dpow.append(None if unit else dpow[-1] * d)
         num_pows.append(npow)
         den_pows.append(dpow)
-    total = DiffPoly.zero(t_base, t_vars)
+    total = {}
     for e, c in value.terms.items():
-        term = DiffPoly.const(t_base, t_vars, c)
+        term = None
         for i, k in enumerate(e):
             if maxdeg[i] == 0:
                 continue
             if num_pows[i] is None:
                 raise ArityMismatch(f"no assignment for variable {variables[i]!r}")
-            term = term * num_pows[i][k] * den_pows[i][maxdeg[i] - k]
-        total = total + term
+            for factor in (num_pows[i][k], den_pows[i][maxdeg[i] - k]):
+                if factor is not None:
+                    term = factor if term is None else term * factor
+        c = t_base.coerce(c)
+        for t_e, t_c in (one if term is None else term).terms.items():
+            cur = total.get(t_e)
+            total[t_e] = c * t_c if cur is None else cur + c * t_c
     den = one
     for i in range(len(variables)):
-        if den_pows[i] is not None:
+        if den_pows[i] is not None and den_pows[i][maxdeg[i]] is not None:
             den = den * den_pows[i][maxdeg[i]]
-    return total, den
+    return DiffPoly(t_base, t_vars, total), den
 
 
 def _substitute_into(value, mapping):

@@ -23,6 +23,13 @@ written once, on lists of coefficients with ``*``, ``-`` and
 Q(theta), for differential rational functions over K(t), and for the
 reduction of scalars by their defining polynomial.
 
+``ModularPolys`` holds the images of ``UniPoly`` modulo one fixed prime
+(``MODULAR_PRIME``), with the theta-reduction rule of ``_block_mul``.  It
+only ever proves that an exact division leaves a remainder: ``image``
+refuses a polynomial whose denominators the prime divides, and a
+remainder counts only for a divisor whose leading coefficient maps to a
+unit (``unit_inverse``), since the defining polynomial may split mod p.
+
 Every ring in the package shares two things written here: ``power``,
 the one square-and-multiply loop, and the printer.  ``signed_sum`` joins
 signed terms, ``product_str`` renders coefficient times monomial, and
@@ -615,9 +622,9 @@ class AlgebraicScalar:
                 da //= g
             return AlgebraicScalar(a.field, (x * y,), da * db)
         field = a.field
-        ms, lead = field.minpoly_nums, field.minpoly_den
         if len(an) == 2:
-            (a0, a1), (b0, b1), (m0, m1) = an, bn, ms
+            (a0, a1), (b0, b1) = an, bn
+            (m0, m1), lead = field.minpoly_nums, field.minpoly_den
             top = a1 * b1
             # theta^2 = -(m1*theta + m0)/lead
             n0 = lead * a0 * b0 - m0 * top
@@ -627,8 +634,8 @@ class AlgebraicScalar:
             if g != 1:
                 n0, n1, den = n0 // g, n1 // g, den // g
             return AlgebraicScalar(field, (n0, n1), den)
-        nums, scale = _product_mod(an, bn, ms, lead)
-        return _canonical(field, nums, scale * da * db)
+        nums, scale = _block_mul(an, bn, field)
+        return _canonical(field, tuple(nums), scale * da * db)
 
     __rmul__ = __mul__
 
@@ -735,33 +742,6 @@ def _sum(a, b, sign):
     if g2 != 1:
         t = tuple(v // g2 for v in t)
     return AlgebraicScalar(a.field, t, s * (db // g2))
-
-
-def _product_mod(an, bn, ms, lead):
-    """Product of two integer coordinate vectors modulo the defining polynomial.
-
-    ``ms`` and ``lead`` are the integer defining polynomial.  Returns
-    ``(nums, scale)``, the product being ``nums / scale``: every reduction
-    step multiplies by ``lead``, and there is none when ``lead`` is 1.
-    """
-    d = len(an)
-    prod = [0] * (2 * d - 1)
-    for i, x in enumerate(an):
-        if x:
-            for j, y in enumerate(bn):
-                prod[i + j] += x * y
-    scale = 1
-    for k in range(2 * d - 2, d - 1, -1):
-        top = prod.pop()
-        if not top:
-            continue
-        if lead != 1:
-            prod = [lead * c for c in prod]
-            scale *= lead
-        # lead*theta^k = -top*theta^(k-d)*(ms[0] + ... + ms[d-1]*theta^(d-1))
-        for i, m in enumerate(ms, k - d):
-            prod[i] -= top * m
-    return tuple(prod), scale
 
 
 def _inverse_mod(nums, ms, lead):
@@ -1173,17 +1153,22 @@ def _poly_mul(a, b):
     an, bn, field = a.nums, b.nums, a.field
     if not an or not bn:
         return _poly(field, [], 1)
-    if field is None:
-        if len(an) < len(bn):
-            an, bn = bn, an
-        out = [0] * (len(an) + len(bn) - 1)
-        for j, y in enumerate(bn):
-            if y:
-                for k, x in enumerate(an, j):
-                    out[k] += x * y
-        return _poly(None, out, a.den * b.den)
-    out, scale = _block_mul(an, bn, field)
+    out, scale = _nums_mul(an, bn, field)
     return _poly(field, out, a.den * b.den * scale)
+
+
+def _nums_mul(an, bn, field):
+    """Product of two nonempty flat coefficient lists as ``(nums, scale)``."""
+    if field is not None:
+        return _block_mul(an, bn, field)
+    if len(an) < len(bn):
+        an, bn = bn, an
+    out = [0] * (len(an) + len(bn) - 1)
+    for j, y in enumerate(bn):
+        if y:
+            for k, x in enumerate(an, j):
+                out[k] += x * y
+    return out, 1
 
 
 def _block_mul(an, bn, field):
@@ -1193,6 +1178,8 @@ def _block_mul(an, bn, field):
     reduced once by the integer defining polynomial.  A reduction step
     multiplies by its leading coefficient ``L``; every coefficient takes
     all ``d - 1`` steps, so the product is ``nums / L^(d-1)`` throughout.
+    This is the one theta-reduction rule: scalar products (one block each)
+    and the images of ``ModularPolys`` run it too.
     """
     d = field.degree
     ms, lead = field.minpoly_nums, field.minpoly_den
@@ -1218,6 +1205,88 @@ def _block_mul(an, bn, field):
                     prod[i] -= top * m
         out.extend(prod)
     return out, lead ** (d - 1)
+
+
+# ---------------------------------------------------------------------------
+# polynomial images modulo one prime
+
+MODULAR_PRIME = 2 ** 61 - 1
+
+
+class ModularPolys:
+    """Images mod p = ``MODULAR_PRIME`` of ``UniPoly`` over one field.
+
+    An image is a list laid out as ``UniPoly.nums``, ``d`` ints in [0, p)
+    per coefficient, with no zero coefficient on top: an element of
+    F_p[theta]/(m)[x], m the defining polynomial mod p.  Reduction mod p is
+    a ring homomorphism on the polynomials whose denominators p does not
+    divide, when it does not divide that of the defining polynomial either;
+    ``image`` returns None for every other polynomial.  Products run
+    ``_block_mul`` (or plain convolution over Q) and are reduced after it.
+
+    m may split mod p, so the images can have zero divisors, and
+    ``unit_inverse`` tells the units apart.  Long division by an exact
+    polynomial whose leading coefficient maps to a unit runs over the
+    p-integral numbers and commutes with reduction mod p.  A nonzero
+    ``remainder`` of the images therefore proves a nonzero exact remainder:
+    the modular image test of Brown (1971), used for rejection only.
+    """
+
+    __slots__ = ("field", "p", "d", "ms", "lead", "unscale")
+
+    def __init__(self, field):
+        self.field, self.p, self.d = field, MODULAR_PRIME, _dim(field)
+        self.ms, self.lead = (field.minpoly_nums, field.minpoly_den) if field else ((), 1)
+        # a product from _block_mul carries the factor lead^(d-1)
+        self.unscale = pow(self.lead, 1 - self.d, self.p) if self.lead % self.p else None
+
+    def image(self, u):
+        """The image of ``u``, or None when ``u`` or its field is not p-integral."""
+        p = self.p
+        if self.unscale is None or u.den % p == 0:
+            return None
+        if u.field is not self.field and u.field != self.field:
+            return None
+        inv = pow(u.den, -1, p)
+        return _trim_blocks([n * inv % p for n in u.nums], self.d)
+
+    def mul(self, a, b, c=(), e=()):
+        """The image of ``a*b + c*e``."""
+        field = self.field
+        out = _nums_mul(a, b, field)[0] if a and b else []
+        if c and e:
+            t = _nums_mul(c, e, field)[0]
+            if len(t) > len(out):
+                out, t = t, out
+            for i, x in enumerate(t):
+                out[i] += x
+        u, p = self.unscale, self.p
+        return _trim_blocks([x % p for x in out] if u == 1 else [x * u % p for x in out], self.d)
+
+    def unit_inverse(self, c):
+        """The inverse of the coefficient ``c`` (``d`` ints), or None for a non-unit.
+
+        ``c`` is a unit exactly when the norm ``_inverse_mod`` returns, the
+        determinant of multiplication by ``c``, is nonzero mod p.
+        """
+        inv, norm = ((1,), c[0]) if self.d == 1 else _inverse_mod(c, self.ms, self.lead)
+        if norm % self.p == 0:
+            return None
+        k = pow(norm, -1, self.p)
+        return [v * k % self.p for v in inv]
+
+    def remainder(self, a, m):
+        """The remainder of ``a`` divided by ``m``, whose top coefficient is one."""
+        d, p, low = self.d, self.p, m[:-self.d]
+        a = list(a)
+        while len(a) >= len(m):
+            top = a[-d:]
+            del a[-d:]
+            if any(top):
+                prod = [top[0] * c for c in low] if d == 1 else self.mul(top, low)
+                for i, c in enumerate(prod, len(a) - len(low)):
+                    a[i] = (a[i] - c) % p
+        return _trim_blocks(a, d)
 
 
 def poly_gcd(p, q):

@@ -70,9 +70,9 @@ class Token:
 _OPS = "+-*/^(),:="
 
 
-def tokenize(text):
+def tokenize(text, line=1, col=1):
+    """Tokens of ``text``, whose first character is at ``line`` and ``col``."""
     toks = []
-    line, col = 1, 1
     i = 0
     while i < len(text):
         ch = text[i]
@@ -782,7 +782,7 @@ def parse_fixture_text(text):
     """
     from .chains import NoetherianSystem, PfaffianChain
 
-    single, rules, assigns, body_tokens = {}, [], [], []
+    single, where, rules, assigns, body_tokens = {}, {}, [], [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -797,8 +797,12 @@ def parse_fixture_text(text):
             )
         if key in single:
             raise ParseError(f"a second {key!r} line", lineno, 1)
+        where[key] = lineno
+        # tokens carry their place in the file, not in the value
+        after = raw[raw.index(":") + 1:]
+        col = raw.index(":") + 2 + len(after) - len(after.lstrip())
         if key == "field":
-            single[key] = parse_field_decl_text(value)
+            single[key] = _parse_decl_tokens(tokenize(value, lineno, col), context="")
             continue
         if key == "var":
             if value not in ("t", "z"):
@@ -810,7 +814,7 @@ def parse_fixture_text(text):
                 raise ParseError("system must be 'noetherian' when given", lineno, 1)
             single[key] = value
             continue
-        tokens = tokenize(value)
+        tokens = tokenize(value, lineno, col)
         body_tokens.extend(tokens[:-1])
         stream = _Stream(tokens)
         if key == "rule":
@@ -839,6 +843,14 @@ def parse_fixture_text(text):
             node = parse_expr(stream)
             stream.expect_end()
             assigns.append((named, node, lineno))
+
+    # the lines of the other mode are errors, not ignored
+    if "defining" in single:
+        for key in ("element", "ode"):
+            if key in single:
+                raise ParseError(f"a backward fixture has no {key!r} line", where[key], 1)
+    elif assigns:
+        raise ParseError("an 'assign' line needs a 'defining' line", assigns[0][2], 1)
 
     decl = single.get("field", FieldDecl(None, None, None))
     noetherian = "system" in single

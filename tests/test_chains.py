@@ -2,10 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pfaffkit as pk
+import pfaffkit.chains as chains
+import pfaffkit.exactfield as exactfield
 from pfaffkit.chains import (
     PfaffianChain,
+    _candidates,
+    _modular_test,
     _presentation_rule,
     chain_validate,
     combine,
@@ -16,6 +22,7 @@ from pfaffkit.chains import (
     verify_backward,
     verify_forward,
 )
+from pfaffkit.cli import run
 from pfaffkit.diffalg import BaseDiffField, DiffPoly, DiffRatFunc, RatFunc, substitute_cleared
 from pfaffkit.errors import (
     ChainMismatch,
@@ -26,7 +33,14 @@ from pfaffkit.errors import (
     ZeroElement,
 )
 
-from conftest import rand_diffpoly, rand_fraction, rand_nonzero_poly, rand_poly, rand_unipoly
+from conftest import (
+    rand_diffpoly,
+    rand_fraction,
+    rand_nonzero_poly,
+    rand_poly,
+    rand_scalar,
+    rand_unipoly,
+)
 
 C = BaseDiffField.constants()
 Kt = BaseDiffField.rational_functions(var="t")
@@ -508,6 +522,155 @@ class TestSearchPresentation:
                     if w2.is_zero():
                         continue
                     assert _presentation_rule(A, B, r2, s2, w2) == reference_rule(A, B, r2, s2, w2)
+
+
+
+# fields of the filter properties: Q, two integral fields, and one whose
+# integer defining polynomial 6x^3 + 2x^2 - 3 has a leading coefficient
+FILTER_FIELDS = {
+    "Q": None,
+    "Q(sqrt2)": pk.nf_new([-2, 0, 1]),
+    "Q(cbrt2)": pk.nf_new([-2, 0, 0, 1]),
+    "Q(cubic denominators)": pk.nf_new([Fraction(-1, 2), 0, Fraction(1, 3), 1]),
+}
+
+
+def with_w(r, s):
+    return r, s, r.derivative() * s - r * s.derivative()
+
+
+def counting_substitute_cleared(monkeypatch):
+    calls = []
+    real = chains.substitute_cleared
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(chains, "substitute_cleared", counted)
+    return calls
+
+
+class TestModularFilter:
+    """The mod-p rejection in front of the exact presentation rule."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(FILTER_FIELDS)), st.integers(0, 2 ** 32))
+    def test_a_rejection_is_never_overturned(self, name, seed):
+        field = FILTER_FIELDS[name]
+        rng = random.Random(seed)
+        A, B = rand_unipoly(rng, field, max_deg=4), rand_unipoly(rng, field, max_deg=3)
+        if B.is_zero():
+            B = pk.UniPoly.const(1, field)
+        g = pk.poly_gcd(A, B)
+        A, B = A // g, B // g
+        pairs = [(rand_unipoly(rng, field, max_deg=2), rand_unipoly(rng, field, max_deg=2))
+                 for _ in range(4)]
+        # random pairs go through the catalog (reduced) and to the test as drawn
+        tried = list(_candidates(A, B, pairs, 3))
+        tried += [with_w(r, s) for r, s in pairs if not s.is_zero()]
+        test = _modular_test(A, B)
+        for r, s, w in tried:
+            if w.is_zero():
+                continue
+            if test(r, s, w):
+                assert _presentation_rule(A, B, r, s, w) is None
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(FILTER_FIELDS)), st.integers(0, 2 ** 32))
+    def test_a_hit_is_never_rejected(self, name, seed):
+        # a Moebius h = R/S and a rule P give f = (P W / S^2)(h^-1), whose
+        # presentation through (R, S) has the rule P
+        field = FILTER_FIELDS[name]
+        rng = random.Random(seed)
+        x = pk.UniPoly.x(field)
+        while True:
+            a, b, c, d = (rand_scalar(rng, field, 3) for _ in range(4))
+            if not (a * d - b * c).is_zero():
+                break
+        r, s, w = with_w(x * a + b, x * c + d)
+        P = rand_unipoly(rng, field, max_deg=3)
+        g = RatFunc(w * P, s * s)
+        f = substitute_cleared(g.num, g.den, x * d - b, pk.UniPoly.const(a, field) - x * c, d=0)
+        A, B = f.num, f.den
+        assert _presentation_rule(A, B, r, s, w) == P
+        assert _modular_test(A, B)(r, s, w) is not True
+
+    def test_catalog_hits_survive(self):
+        # y' = 1/(2y) has the hit h = 1/x; a hit passes the filter first
+        x = pk.UniPoly.x(None)
+        one = pk.UniPoly.const(1, None)
+        A, B = one, x * 2
+        test = _modular_test(A, B)
+        hits = [(r, s, w) for r, s, w in _candidates(A, B, (), 3)
+                if _presentation_rule(A, B, r, s, w) is not None]
+        assert hits and all(test(r, s, w) is False for r, s, w in hits)
+
+    def test_missing_powers_of_s_are_a_rejection(self):
+        # f = y^3 + 1 and h = 1/x: P = -(1 + x^3)/x, so S^(-e) = x does not
+        # divide the dividend 1 + x^3
+        x = pk.UniPoly.x(None)
+        one = pk.UniPoly.const(1, None)
+        A, B = x ** 3 + 1, one
+        cand = with_w(one, x)
+        assert _presentation_rule(A, B, *cand) is None
+        assert _modular_test(A, B)(*cand) is True
+
+    def test_prime_dividing_a_denominator_falls_through(self, monkeypatch):
+        x = pk.UniPoly.x(None)
+        one = pk.UniPoly.const(1, None)
+        A, B = x - Fraction(1, 2), x * (x - 5)
+        r, s = x - Fraction(1, 3), one
+        assert _modular_test(A, B)(*with_w(r, s)) is True
+        monkeypatch.setattr(exactfield, "MODULAR_PRIME", 3)
+        assert _modular_test(A, B)(*with_w(r, s)) is None  # 3 divides R's denominator
+        monkeypatch.setattr(exactfield, "MODULAR_PRIME", 2)
+        assert _modular_test(A, B)(*with_w(x, one)) is None  # 2 divides A's
+        field = FILTER_FIELDS["Q(cubic denominators)"]
+        xf, onef = pk.UniPoly.x(field), pk.UniPoly.const(1, field)
+        # 2 divides 6, the denominator of the defining polynomial
+        assert _modular_test(xf, xf * xf + 1)(*with_w(xf, onef)) is None
+
+    def test_non_unit_leading_coefficient_falls_through(self, monkeypatch):
+        # x^2 - 2 splits mod 7 (3^2 = 2), so 3 - r is a zero divisor there
+        # though not zero; it is the leading coefficient of B and, for
+        # h = x, of the divisor
+        field = FILTER_FIELDS["Q(sqrt2)"]
+        x, one = pk.UniPoly.x(field), pk.UniPoly.const(1, field)
+        A = x * x + 1
+        B = x * pk.UniPoly.const(3 - field.gen(), field) + 1
+        cand = with_w(x, one)
+        assert _presentation_rule(A, B, *cand) is None
+        assert _modular_test(A, B)(*cand) is True
+        monkeypatch.setattr(exactfield, "MODULAR_PRIME", 7)
+        ring = exactfield.ModularPolys(field)
+        lc = ring.image(B)[-2:]
+        assert any(lc) and ring.unit_inverse(lc) is None
+        assert _modular_test(A, B)(*cand) is None
+
+    def test_cancellation_at_equal_degrees_falls_through(self):
+        # B(1) = 0 and lc R = lc S, so B~ = R^2 - S^2 = -(2x + 5) drops a degree
+        x = pk.UniPoly.x(None)
+        one = pk.UniPoly.const(1, None)
+        A, B = one, x * x - 1
+        cand = with_w(x + 2, x + 3)
+        assert _presentation_rule(A, B, *cand) is None
+        assert _modular_test(A, B)(*cand) is None
+
+    @pytest.mark.parametrize("n", [9, 120])
+    def test_degree_sweep_inputs_never_reach_the_exact_rule(self, n, monkeypatch):
+        argv = ["classify-ode", f"y' = (y-1)^{n}/(y*(y-1/3))"]
+        calls = counting_substitute_cleared(monkeypatch)
+        doc, code = run(argv)
+        assert code == 0 and calls == []
+        assert doc["verdicts"]["pfaffian"] == "unknown"
+        reason = doc["reasons"]["pfaffian"]
+        assert reason.endswith("presentation search exhausted at degree bound 3")
+        # the exact rule alone gives the same envelope
+        monkeypatch.setattr(chains, "_modular_test", lambda A, B: lambda r, s, w: None)
+        exact_doc, exact_code = run(argv)
+        assert len(calls) > 0
+        assert (exact_doc, exact_code) == (doc, code)
 
 
 class TestSerialization:

@@ -317,6 +317,41 @@ class TestFixtureFiles:
         unnamed = text.replace("assign: y1 = ", "assign: ").replace("assign: y2 = ", "assign: ")
         assert parse_fixture_text(unnamed) == parse_fixture_text(text)
 
+    @pytest.mark.parametrize("extra", ["element: 1/y1", "ode: y' = y"])
+    def test_forward_line_in_a_backward_fixture(self, extra):
+        text = self.lambert() + extra + "\n"
+        with pytest.raises(ParseError) as err:
+            parse_fixture_text(text)
+        key = extra.split(":")[0]
+        assert err.value.message == f"a backward fixture has no {key!r} line"
+        assert (err.value.line, err.value.col) == (len(text.splitlines()), 1)
+
+    def test_assignment_in_a_forward_fixture(self):
+        # the assignment is never evaluated, so 1/0 is not what fails
+        text = "rule: y1' = -1/2*y1^3\nassign: 1/0\nelement: 1/y1\node: y' = 1/(2*y)\n"
+        with pytest.raises(ParseError) as err:
+            parse_fixture_text(text)
+        assert err.value.message == "an 'assign' line needs a 'defining' line"
+        assert (err.value.line, err.value.col) == (2, 1)
+
+    @pytest.mark.parametrize("old, new, message, line, col", [
+        ("assign: y2 = w", "assign: y2 = q", "unknown identifier 'q'", 6, 14),
+        ("rule: y2' = (1/z)*y1*y2", "rule: y2' = (1/z)*y1*y2/0", "division by zero", 8, 24),
+        ("var: z", "var: z\nfield:  Q(r: r^2 $ 2)", "unexpected character '$'", 4, 18),
+    ], ids=["assign", "rule", "field"])
+    def test_errors_inside_a_value_give_file_positions(self, old, new, message, line, col):
+        text = self.lambert().replace(old, new)
+        with pytest.raises(ParseError) as err:
+            parse_fixture_text(text)
+        assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+
+    def test_noetherian_fixture_reads_compare_equal(self):
+        text = next(block for block in readme_fixtures() if "system: noetherian" in block)
+        first, second = parse_fixture_text(text), parse_fixture_text(text)
+        assert first.chain == second.chain and first == second
+        assert hash(first.chain) == hash(second.chain)
+        assert first.chain != parse_fixture_text(text.replace("- 5*y*w", "- 4*y*w")).chain
+
     def test_extra_assignment_is_an_arity_mismatch(self):
         fixture = parse_fixture_text(self.lambert() + "assign: y3 = 1\n")
         with pytest.raises(ArityMismatch):

@@ -17,6 +17,7 @@ from pfaffkit.errors import (
 from pfaffkit.diffalg import RatFunc
 from pfaffkit.exactfield import (
     AlgebraicScalar,
+    ModularPolys,
     UniPoly,
     _rational_roots,
     _reduce_mod,
@@ -861,6 +862,41 @@ class TestIntegerUniPoly:
             g = pk.poly_gcd(p, q)
             expected = to_sympy(p).gcd(to_sympy(q)).monic()
             assert to_sympy(g) == expected
+
+
+class TestModularPolys:
+    """Images mod p follow the exact ring operations and the exact remainder."""
+
+    @pytest.mark.parametrize("name", UNIPOLY_FIELDS + ("Q(x^4+2)",))
+    def test_images_follow_exact_arithmetic(self, name):
+        field = INTEGER_FIELDS[name]
+        ring = ModularPolys(field)
+        d = field.degree if field else 1
+        one = [1] + [0] * (d - 1)
+        image = ring.image
+        rng = random.Random(f"modular/{name}")
+        for i in range(60):
+            span = 9 if i % 2 else 10 ** 30
+            a, b, c, e = (rand_poly_of(rng, field, 5, span) for _ in range(4))
+            assert ring.mul(image(a), image(b), image(c), image(e)) == image(a * b + c * e)
+            if b.is_zero():
+                continue
+            top = image(b)[-d:]
+            assert len(image(b)) == len(b.nums)
+            inv = ring.unit_inverse(top)
+            assert ring.mul(inv, top) == one
+            assert ring.remainder(image(a), ring.mul(inv, image(b))) == image(a % b)
+
+    def test_no_image_without_p_integrality(self, monkeypatch):
+        monkeypatch.setattr(pk.exactfield, "MODULAR_PRIME", 3)
+        x = UniPoly.x(None)
+        ring = ModularPolys(None)
+        assert ring.image(x * Fraction(1, 6)) is None
+        assert ring.image(x * Fraction(2, 5) + 4) == [1, 1]
+        assert ring.image(UniPoly.x(INTEGER_FIELDS["Q(sqrt2)"])) is None  # another field
+        # 3 divides 6, the leading coefficient of 6x^2 - 3x - 2
+        field = INTEGER_FIELDS["Q(denominators)"]
+        assert ModularPolys(field).image(UniPoly.x(field)) is None
 
 
 FIELDS_FOR_PROPERTIES = ("Q", "Q(sqrt2)", "Q(denominators)")

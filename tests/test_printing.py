@@ -344,19 +344,19 @@ TRAILING = [
     (lambda: parse_group_text("Prod(Ga, Gm) Gm"), "trailing identifier 'Gm'", 1, 14),
     (
         lambda: parse_fixture_text(FORWARD.replace("y1^3", "y1^3 y1")),
-        "trailing identifier 'y1'", 1, 17,
+        "trailing identifier 'y1'", 1, 23,
     ),
     (
         lambda: parse_fixture_text(BACKWARD.replace("assign: y2 = w", "assign: y2 = w (w)")),
-        "trailing '('", 1, 8,
+        "trailing '('", 4, 16,
     ),
     (
         lambda: parse_fixture_text(FORWARD.replace("1/(2*y)", "1/(2*y) 2")),
-        "trailing number 2", 1, 14,
+        "trailing number 2", 3, 19,
     ),
     (
         lambda: parse_fixture_text(BACKWARD.replace("w/(z*(1+w))", "w/(z*(1+w)) 7 junk")),
-        "trailing number 7", 1, 18,
+        "trailing number 7", 2, 28,
     ),
 ]
 
