@@ -1361,30 +1361,24 @@ def extract_linear_roots(p):
             found[root] = found.get(root, 0) + 1
             rem = quo
 
-    # rational roots first (works at any degree)
-    changed = True
-    while changed and not rem.is_constant():
-        changed = False
-        # a rational root is a root of every coordinate polynomial
+    # rational roots first (works at any degree), in one pass: a rational
+    # root is a root of every coordinate polynomial, and peel removes it with
+    # its full multiplicity
+    if not rem.is_constant():
         d = _dim(rem.field)
         coord_poly = next(cs for cs in (rem.nums[j::d] for j in range(d)) if any(cs))
         for r in _rational_roots(coord_poly):
             root = AlgebraicScalar.rational(r).lift(rem.field)
             if rem.eval(root).is_zero():
-                before = rem
                 peel(root)
-                if rem is not before:
-                    changed = True
     # quadratic tail: split when the discriminant is a square in the field
-    while rem.degree == 2:
+    if rem.degree == 2:
         c0, c1, c2 = rem.coeffs
         disc = c1 * c1 - 4 * c2 * c0
         s = scalar_sqrt(disc.lift(rem.field))
-        if s is None:
-            break
-        for root in ((-c1 + s) / (2 * c2), (-c1 - s) / (2 * c2)):
-            peel(root)
-        break
+        if s is not None:
+            for root in ((-c1 + s) / (2 * c2), (-c1 - s) / (2 * c2)):
+                peel(root)
     if rem.degree == 1:
         c0, c1 = rem.coeffs
         peel(-c0 / c1)

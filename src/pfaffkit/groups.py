@@ -172,6 +172,10 @@ def _gl_level(atom):
     raise UnknownAction(f"no gl-level entry for atom {atom}")
 
 
+# the eulerian quotient types, in the order of a covered subgroup's witness
+_EULERIAN_ATOMS = (Atom("Finite"), Atom("Ga"), Atom("Gm"), Atom("PSL", 2))
+
+
 @dataclass(frozen=True)
 class AllowedSet:
     """Membership predicate over atoms, used as series-quotient alphabet."""
@@ -181,7 +185,8 @@ class AllowedSet:
 
     def allows_atom(self, atom):
         if self.name == "eulerian":
-            return atom.kind in ("Finite", "Ga", "Gm") or atom == Atom("PSL", 2)
+            kind = atom.kind
+            return kind in ("Finite", "Ga", "Gm") or (kind == "PSL" and atom.n == 2)
         if self.name == "1-reducible-internal":
             return atom.kind == "Elliptic" or EULERIAN.allows_atom(atom)
         if self.name == "d-solvable":
@@ -191,10 +196,7 @@ class AllowedSet:
 
     def covers_eulerian_atoms(self):
         """True when every eulerian quotient type is allowed here."""
-        return all(
-            self.allows_atom(a)
-            for a in (Atom("Finite"), Atom("Ga"), Atom("Gm"), Atom("PSL", 2))
-        )
+        return all(self.allows_atom(a) for a in _EULERIAN_ATOMS)
 
     def __str__(self):
         return f"d-solvable:{self.d}" if self.name == "d-solvable" else self.name
@@ -269,48 +271,45 @@ def _decompose(atom):
 def check_series(g, allowed):
     """Does ``g`` admit a subnormal series with quotients in ``allowed``?
 
-    Recursive rules: an atom is looked up directly or through its canned
-    decomposition; products and extensions are Yes iff all parts are Yes
-    and No as soon as one part is No; an unknown subgroup is Yes only
-    for parents that are products of the subgroups-of-SL2 alphabet
-    (closed under taking subgroups), and Unknown otherwise.
+    One walk over the leaves of ``g`` in series order, top first: an
+    extension's quotient before its normal subgroup, a product's factors in
+    order, a disallowed atom replaced by its canned decomposition.  The
+    first disallowed atom without one gives No.  Otherwise the last unknown
+    subgroup that is not covered gives Unknown; the closure covers parents
+    that are products of the subgroups-of-SL2 alphabet (closed under taking
+    subgroups).  Otherwise the verdict is Yes, witnessed by the allowed
+    quotients in walk order.
     """
-    if isinstance(g, Atom):
-        if allowed.allows_atom(g):
-            return yes(witness=(str(g),))
-        parts = _decompose(g)
-        if parts is None:
-            return no(f"{g} is not an allowed quotient and has no proper decomposition")
-        return _combine_all((check_series(p, allowed) for p in parts), allowed)
-    if isinstance(g, Product):
-        return _combine_all((check_series(c, allowed) for c in g.children), allowed)
-    if isinstance(g, Extension):
-        return _combine_all(
-            (check_series(g.quotient, allowed), check_series(g.normal, allowed)), allowed
-        )
-    if isinstance(g, UnknownSubgroupOf):
-        if allowed.covers_eulerian_atoms() and _goursat_parent_ok(g.parent):
-            return yes(witness=("Fin", "Ga", "Gm", "PSL(2)"))
+    quotients = []
+    uncovered = None
+    stack = [g]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Atom):
+            if allowed.allows_atom(node):
+                quotients.append(node)
+                continue
+            parts = _decompose(node)
+            if parts is None:
+                return no(f"{node} is not an allowed quotient and has no proper decomposition")
+            stack.extend(reversed(parts))
+        elif isinstance(node, Product):
+            stack.extend(reversed(node.children))
+        elif isinstance(node, Extension):
+            stack += (node.normal, node.quotient)
+        elif isinstance(node, UnknownSubgroupOf):
+            if allowed.covers_eulerian_atoms() and _goursat_parent_ok(node.parent):
+                quotients.extend(_EULERIAN_ATOMS)
+            else:
+                uncovered = node
+        else:
+            raise UnknownAction(f"unrecognized group expression {node!r}")
+    if uncovered is not None:
         return unknown(
-            f"an arbitrary subgroup of {g.parent} is not covered by the "
+            f"an arbitrary subgroup of {uncovered.parent} is not covered by the "
             "subgroups-of-products closure"
         )
-    raise UnknownAction(f"unrecognized group expression {g!r}")
-
-
-def _combine_all(verdicts, allowed):
-    witness = []
-    saw_unknown = None
-    for v in verdicts:
-        if v.is_no:
-            return v
-        if v.is_yes:
-            witness.extend(v.witness)
-        else:
-            saw_unknown = v
-    if saw_unknown is not None:
-        return saw_unknown
-    return yes(witness=tuple(witness))
+    return yes(witness=map(str, quotients))
 
 
 _GOURSAT_ATOMS = ("Ga", "Gm", "GaxGm", "Torus", "Finite")
@@ -334,8 +333,6 @@ def _goursat_parent_ok(parent):
 
 def d_solvable(g, d):
     """check_series against the d-solvable alphabet."""
-    if not isinstance(d, int) or d < 1:
-        raise InvalidD(f"d must be an integer >= 1, got {d!r}")
     return check_series(g, d_solvable_set(d))
 
 

@@ -335,10 +335,10 @@ def _fold(node, leaf, combine):
     return values[0]
 
 
-def _fold_ring(node, leaf, raise_to, divide):
-    """``_fold`` for values with their own ``-x``, ``+``, ``-`` and ``*``; each
-    evaluator gives ``a^e`` as ``raise_to(a, e)`` and ``a/b`` at node ``n``
-    as ``divide(n, a, b)``."""
+def _ring_combine(raise_to, divide):
+    """``combine`` for ``_fold`` on values with their own ``-x``, ``+``, ``-``
+    and ``*``; each evaluator gives ``a^e`` as ``raise_to(a, e)`` and ``a/b``
+    at node ``n`` as ``divide(n, a, b)``."""
 
     def combine(n, a, b=None):
         if isinstance(n, Neg):
@@ -355,7 +355,7 @@ def _fold_ring(node, leaf, raise_to, divide):
             return divide(n, a, b)
         raise ParseError("malformed expression", 1, 1)
 
-    return _fold(node, leaf, combine)
+    return combine
 
 
 def eval_ratfunc(node, ctx):
@@ -387,115 +387,66 @@ def eval_ratfunc(node, ctx):
             raise ParseError("division by zero", n.line, n.col)
         return lhs / rhs
 
-    return _fold_ring(node, leaf, pow, divide)
-
-
-class LinearValue:
-    """Value domain for monic linear forms: scalar part + sum c_k * y^(k)."""
-
-    __slots__ = ("base", "scalar", "orders")
-
-    def __init__(self, base, scalar, orders):
-        self.base = base
-        self.scalar = scalar
-        self.orders = {k: c for k, c in orders.items() if not c.is_zero()}
-
-    def is_scalar(self):
-        return not self.orders
-
-    def _add(self, other, sign):
-        orders = dict(self.orders)
-        for k, c in other.orders.items():
-            cur = orders.get(k, self.base.zero())
-            orders[k] = cur + c if sign > 0 else cur - c
-        s = self.scalar + other.scalar if sign > 0 else self.scalar - other.scalar
-        return LinearValue(self.base, s, orders)
+    return _fold(node, leaf, _ring_combine(pow, divide))
 
 
 def eval_linear(node, ctx, yname="y"):
-    """Evaluate an AST as a linear form in y, y', y'', ... over the base."""
-    base = ctx.base
+    """Evaluate an AST as a linear form in y, y', y'', ... over the base: a
+    DiffIndeterminateExpr whose slot k stands for y^(k)."""
+    return _eval_indeterminate(node, ctx.base, yname, ctx.gen_name, linear=True)
+
+
+def eval_uexpr(node, base):
+    """Evaluate an AST as an expression in u, u', u'', ... over the base."""
+    return _eval_indeterminate(node, base, "u")
+
+
+def _eval_indeterminate(node, base, name, gen_name=None, linear=False):
+    """A DiffIndeterminateExpr whose slot k stands for ``name`` with k primes.
+
+    When ``linear``, a product of two factors that involve ``name``, or such
+    a factor raised to a power other than 1, is a ParseError at its node.
+    """
 
     def const(c):
-        return LinearValue(base, base.coerce(c), {})
+        return DiffIndeterminateExpr.const(base, c)
 
     def leaf(n):
         if isinstance(n, Num):
             return const(n.value)
-        if n.name == yname:
-            return LinearValue(base, base.zero(), {n.primes: base.one()})
+        if n.name == name:
+            return DiffIndeterminateExpr.u(base, n.primes)
         if n.primes:
             raise ParseError(f"cannot differentiate {n.name!r}", n.line, n.col)
-        if n.name == ctx.gen_name and ctx.gen_name is not None:
+        if n.name == gen_name:
             return const(base.field.gen())
         if n.name == base.var:
             return const(base.gen())
         raise ParseError(f"unknown identifier {n.name!r}", n.line, n.col)
 
-    def combine(n, a, b=None):
-        if isinstance(n, Neg):
-            return LinearValue(base, -a.scalar, {k: -c for k, c in a.orders.items()})
-        if n.op == "^":
-            e = _int_exponent(n.right)
-            if not a.is_scalar() and e != 1:
-                raise ParseError("the equation must be linear in y", n.line, n.col)
-            if a.is_scalar():
-                return LinearValue(base, power(base.one(), a.scalar, e), {})
-            return a
-        if n.op == "+":
-            return a._add(b, 1)
-        if n.op == "-":
-            return a._add(b, -1)
-        if n.op == "*":
-            if not a.is_scalar() and not b.is_scalar():
-                raise ParseError("the equation must be linear in y", n.line, n.col)
-            if a.is_scalar():
-                a, b = b, a
-            s = b.scalar
-            return LinearValue(
-                base, a.scalar * s, {k: c * s for k, c in a.orders.items()}
-            )
-        if n.op == "/":
-            if not b.is_scalar():
-                raise ParseError("cannot divide by y", n.line, n.col)
-            if b.scalar.is_zero():
-                raise ParseError("division by zero", n.line, n.col)
-            inv = b.scalar.inverse()
-            return LinearValue(
-                base, a.scalar * inv, {k: c * inv for k, c in a.orders.items()}
-            )
-        raise ParseError("malformed expression", 1, 1)
-
-    return _fold(node, leaf, combine)
-
-
-def eval_uexpr(node, base):
-    """Evaluate an AST as an expression in u, u', u'', ... over the base."""
-
-    def leaf(n):
-        if isinstance(n, Num):
-            return DiffIndeterminateExpr.const(base, n.value)
-        if n.name == "u":
-            return DiffIndeterminateExpr.u(base, n.primes)
-        if n.primes:
-            raise ParseError(f"cannot differentiate {n.name!r}", n.line, n.col)
-        if n.name == base.var:
-            return DiffIndeterminateExpr.const(base, base.gen())
-        raise ParseError(f"unknown identifier {n.name!r}", n.line, n.col)
-
     def raise_to(a, e):
-        return power(DiffIndeterminateExpr.const(base, 1), a, e)
+        return power(const(1), a, e)
 
     def divide(n, a, b):
         if b.order() >= 0:
-            raise ParseError("cannot divide by u", n.line, n.col)
+            raise ParseError(f"cannot divide by {name}", n.line, n.col)
         c = b.terms.get((), base.zero())
         if c.is_zero():
             raise ParseError("division by zero", n.line, n.col)
         inv = c.inverse()
         return DiffIndeterminateExpr(base, {e: c2 * inv for e, c2 in a.terms.items()})
 
-    return _fold_ring(node, leaf, raise_to, divide)
+    ring = _ring_combine(raise_to, divide)
+
+    def combine(n, a, b=None):
+        if linear and isinstance(n, Bin) and a.order() >= 0 and (
+            (n.op == "*" and b.order() >= 0)
+            or (n.op == "^" and _int_exponent(n.right) != 1)
+        ):
+            raise ParseError(f"the equation must be linear in {name}", n.line, n.col)
+        return ring(n, a, b)
+
+    return _fold(node, leaf, combine)
 
 
 def eval_unipoly_q(node, gen_name):
@@ -516,7 +467,7 @@ def eval_unipoly_q(node, gen_name):
             raise ParseError("division by a non-constant", n.line, n.col)
         return a * b.constant_value().inverse()
 
-    return _fold_ring(node, leaf, pow, divide)
+    return _fold(node, leaf, _ring_combine(pow, divide))
 
 
 # ---------------------------------------------------------------------------
@@ -685,12 +636,12 @@ def parse_linear_text(text, yname="y"):
         raise ParseError("a linear equation must end in '= 0'", zero.line, zero.col)
     stream.expect_end()
     form = eval_linear(node, EvalContext(base, (), decl.gen_name), yname=yname)
-    if form.is_scalar() or not form.orders:
+    order = form.order()
+    if order < 0:
         raise ParseError("the equation does not involve y", 1, 1)
-    if not form.scalar.is_zero():
+    if () in form.terms:
         raise ParseError("the equation must be homogeneous linear in y", 1, 1)
-    order = max(form.orders)
-    coeffs = [form.orders.get(k, base.zero()) for k in range(order + 1)]
+    coeffs = [form.terms.get((0,) * k + (1,), base.zero()) for k in range(order + 1)]
     return LinearSpec(coeffs=tuple(coeffs), base=base, gen_name=decl.gen_name)
 
 

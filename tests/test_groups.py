@@ -1,11 +1,14 @@
 import itertools
+import random
 
 import pytest
 
 from pfaffkit.errors import InvalidD, InvalidN, UnknownAction
 from pfaffkit.groups import (
     EULERIAN,
+    Atom,
     Elliptic,
+    Extension,
     Finite,
     GL,
     Ga,
@@ -14,19 +17,26 @@ from pfaffkit.groups import (
     ONE_REDUCIBLE_INTERNAL,
     PGL,
     PSL,
+    Product,
     SL,
     Torus,
+    UnknownSubgroupOf,
+    _decompose,
+    _goursat_parent_ok,
     check_series,
     d_solvable,
     d_solvable_set,
     extension,
     generic_transitivity,
     gl_affine_action,
+    no,
     pgl_projective_action,
     product,
     reducibility_profile,
     series_witness_valid,
     subgroup_of,
+    unknown,
+    yes,
 )
 
 
@@ -107,6 +117,115 @@ class TestCheckSeries:
         assert check_series(extension(subgroup_of(GL(3)), Gm()), EULERIAN).value == "unknown"
         # a definite no wins over an unknown sibling
         assert check_series(extension(subgroup_of(GL(3)), SL(4)), EULERIAN).is_no
+
+
+# ---------------------------------------------------------------------------
+# the recursive series check that the one-walk version replaced, kept as a
+# test-only reference
+
+
+def recursive_check_series(g, allowed):
+    if isinstance(g, Atom):
+        if allowed.allows_atom(g):
+            return yes(witness=(str(g),))
+        parts = _decompose(g)
+        if parts is None:
+            return no(f"{g} is not an allowed quotient and has no proper decomposition")
+        return combine_all((recursive_check_series(p, allowed) for p in parts), allowed)
+    if isinstance(g, Product):
+        return combine_all((recursive_check_series(c, allowed) for c in g.children), allowed)
+    if isinstance(g, Extension):
+        return combine_all(
+            (recursive_check_series(g.quotient, allowed),
+             recursive_check_series(g.normal, allowed)),
+            allowed,
+        )
+    if isinstance(g, UnknownSubgroupOf):
+        if allowed.covers_eulerian_atoms() and _goursat_parent_ok(g.parent):
+            return yes(witness=("Fin", "Ga", "Gm", "PSL(2)"))
+        return unknown(
+            f"an arbitrary subgroup of {g.parent} is not covered by the "
+            "subgroups-of-products closure"
+        )
+    raise UnknownAction(f"unrecognized group expression {g!r}")
+
+
+def combine_all(verdicts, allowed):
+    witness = []
+    saw_unknown = None
+    for v in verdicts:
+        if v.is_no:
+            return v
+        if v.is_yes:
+            witness.extend(v.witness)
+        else:
+            saw_unknown = v
+    if saw_unknown is not None:
+        return saw_unknown
+    return yes(witness=tuple(witness))
+
+
+ALPHABETS = (EULERIAN, ONE_REDUCIBLE_INTERNAL, d_solvable_set(2), d_solvable_set(3))
+
+
+def every_kind_of_atom():
+    atoms = [Ga(), Gm(), GaxGm(), Finite(), Elliptic()]
+    for n in (1, 2, 3, 4, 5):
+        atoms += [SL(n), GL(n), PSL(n), PGL(n)]
+    atoms += [Torus(k) for k in (1, 2, 3, 4)]
+    return atoms
+
+
+def random_tree(rng, atoms, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.15:
+        return rng.choice(atoms)
+    if roll < 0.6:
+        return product(*(random_tree(rng, atoms, depth - 1) for _ in range(rng.randint(0, 3))))
+    if roll < 0.85:
+        return extension(random_tree(rng, atoms, depth - 1), random_tree(rng, atoms, depth - 1))
+    return subgroup_of(random_tree(rng, atoms, depth - 1))
+
+
+def outcome(v):
+    return (v.value, v.witness, v.reason)
+
+
+class TestWalkMatchesRecursion:
+    def test_depth_two(self):
+        for allowed in ALPHABETS:
+            for g in depth_two(small_atoms()):
+                assert outcome(check_series(g, allowed)) == outcome(
+                    recursive_check_series(g, allowed)
+                ), (str(g), str(allowed))
+
+    def test_random_trees_up_to_depth_six(self):
+        rng = random.Random("series-walk")
+        atoms = every_kind_of_atom()
+        values = set()
+        for _ in range(3000):
+            g = random_tree(rng, atoms, rng.randint(1, 6))
+            for allowed in ALPHABETS:
+                v = check_series(g, allowed)
+                assert outcome(v) == outcome(recursive_check_series(g, allowed)), (
+                    str(g), str(allowed)
+                )
+                values.add(v.value)
+        assert values == {"yes", "no", "unknown"}
+
+    def test_unrecognized_node_after_a_no_is_never_reached(self):
+        weird = Product(("not a group",))
+        assert check_series(product(SL(3), weird), EULERIAN).is_no
+        with pytest.raises(UnknownAction):
+            check_series(product(weird, SL(3)), EULERIAN)
+
+    def test_a_deep_chain_needs_no_recursion(self):
+        g = Ga()
+        for _ in range(2000):
+            g = extension(g, Ga())
+        v = check_series(g, EULERIAN)
+        assert v.is_yes
+        assert v.witness == ("Ga",) * 2001
 
 
 class TestDSolvable:

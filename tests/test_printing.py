@@ -371,3 +371,42 @@ def test_trailing_token_messages(parse, message, line, col):
         parse()
     assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
     assert str(err.value) == f"{message} at line {line}, column {col}"
+
+
+# ---------------------------------------------------------------------------
+# every rejection of a linear equation, with its message and position
+
+LINEAR_ERRORS = [
+    ("y*y' = 0", "the equation must be linear in y", 1, 2),
+    ("y^2 = 0", "the equation must be linear in y", 1, 2),
+    ("y^0 = 0", "the equation must be linear in y", 1, 2),
+    ("(y+y')^2 = 0", "the equation must be linear in y", 1, 7),
+    ("1/y = 0", "cannot divide by y", 1, 2),
+    ("y/0 = 0", "division by zero", 1, 2),
+    ("y/(y-y) = 0", "division by zero", 1, 2),
+    ("t = 0", "the equation does not involve y", 1, 1),
+    ("y - y = 0", "the equation does not involve y", 1, 1),
+    ("y + 1 = 0", "the equation must be homogeneous linear in y", 1, 1),
+    ("y' + t'*y = 0", "cannot differentiate 't'", 1, 6),
+    ("y' + q*y = 0", "unknown identifier 'q'", 1, 6),
+    ("y'' + y^100001 = 0", "exponent 100001 exceeds the supported bound 10000", 1, 9),
+    ("y'' + y^t = 0", "exponents must be nonnegative integer literals", 1, 9),
+]
+
+
+@pytest.mark.parametrize("text, message, line, col", LINEAR_ERRORS)
+def test_linear_equation_errors(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_linear_text(text)
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+
+
+def test_linear_equation_coefficients():
+    # a product with a vanishing factor, a cancelled term and a number-field
+    # generator all parse to plain coefficients a_0 .. a_n
+    spec = parse_linear_text("y*(y-y) + y' - y' + y'' = 0")
+    assert [str(c) for c in spec.coeffs] == ["0", "0", "1"]
+    spec = parse_linear_text("y'' + a*y/2 - t*y' = 0 over Q(a: a^2-2, t)")
+    base = spec.base
+    a, t = base.coerce(base.field.gen()), base.gen()
+    assert spec.coeffs == (a / 2, -t, base.one())
