@@ -13,11 +13,11 @@ defining equation.  Both reduce to exact cross-multiplied polynomial
 identities.
 
 The presentation search decides each candidate by one exact division.
-In front of it, a test modulo a prime (``_modular_test``) rejects a
-candidate only when the division provably leaves a remainder.  When the
-prime divides a denominator, or the image of the divisor does not show
-its exact degree with a unit leading coefficient, the candidate is left
-to the exact test.
+In front of it, a test in F_p (``_modular_test``) rejects a candidate
+only when the division provably leaves a remainder.  When no prime
+qualifies for the field, the prime divides a denominator, or the image
+of the divisor does not show its exact degree, the candidate is left to
+the exact test.
 """
 
 from __future__ import annotations
@@ -416,15 +416,19 @@ def _candidates(A, B, extra, degree_bound):
             catalog.append((x - UniPoly.const(c, field), x - UniPoly.const(d, field)))
     catalog.append((x * x, one))
     catalog.append((one, x * x))
-    catalog.extend(extra)
+    # every catalog pair is coprime, (x - c, x - d) with c != d or a side
+    # 1: only the caller's pairs need reducing
+    for r, s in extra:
+        if not s.is_zero():
+            g = poly_gcd(r, s)
+            if g.degree > 0:
+                r, s = r // g, s // g
+        catalog.append((r, s))
 
     seen = set()
     for r, s in catalog:
         if s.is_zero():
             continue
-        g = poly_gcd(r, s)
-        if g.degree > 0:
-            r, s = r // g, s // g
         key = (tuple(r.nums), r.den, tuple(s.nums), s.den)
         if key in seen:
             continue
@@ -443,34 +447,34 @@ def _modular_test(A, B):
     With n = deg A, m = deg B, e = m - n + 2 and the homogenized
     A~ = sum a_i R^i S^(n-i) (B~ likewise), the rule f(R/S) S^2 / W is a
     polynomial exactly when the divisor B~ W S^max(-e,0) divides the
-    dividend A~ S^max(e,0).  The test computes both mod one prime
-    (``ModularPolys``; A and B are reduced once) and answers True, a sure
-    rejection, only when the remainder mod p is nonzero; False when it is
-    zero; None when it cannot decide.  It cannot when p divides a
-    denominator of A, B, R, S or of the defining polynomial, and when the
-    image of the divisor has no unit at the divisor's degree bound
+    dividend A~ S^max(e,0).  The test computes both in F_p, theta sent to
+    a root of its defining polynomial mod p (``ModularPolys``; A and B
+    are mapped once), and answers True, a sure rejection, only when the
+    remainder there is nonzero; False when it is zero; None when it
+    cannot decide.  It cannot when no prime qualifies, when p divides a
+    denominator of A, B, R, S or W, and when the image of the divisor is
+    zero at the divisor's degree bound
     max(i deg R + (m - i) deg S over b_i != 0) + deg W + max(-e,0) deg S.
     That bound is the exact degree unless deg R == deg S and the top terms
-    of B~ cancel, and a coefficient whose image is a unit is nonzero: so a
-    unit there fixes the exact degree and makes the division commute with
-    reduction mod p.  Over Q(theta) the defining polynomial may split mod
-    p, and a nonzero image need not be a unit.
+    of B~ cancel, and a coefficient with a nonzero image is nonzero: so a
+    nonzero image there fixes the exact degree and makes the division
+    commute with the map to F_p.
     """
     ring = ModularPolys(A.field)
     a, b = ring.image(A), ring.image(B)
     if a is None or b is None:
         return lambda r, s, w: None
-    d, n, m = ring.d, A.degree, B.degree
+    n, m = A.degree, B.degree
     e = m - n + 2
+    d = len(B.nums) // (m + 1)
     support = [i for i in range(m + 1) if any(B.nums[i * d:(i + 1) * d])]
-    one = [1] + [0] * (d - 1)
 
     def homogenized(img, deg, r, s):
         # Horner from the top: acc = acc*R + c_i*S^(deg-i)
-        acc, spow = [], one
+        acc, spow = [], [1]
         for i in range(deg, -1, -1):
-            acc = ring.mul(acc, r, img[i * d:(i + 1) * d], spow)
-            if i and s != one:
+            acc = ring.mul(acc, r, img[i:i + 1], spow)
+            if i and s != [1]:
                 spow = ring.mul(spow, s)
         return acc
 
@@ -483,15 +487,12 @@ def _modular_test(A, B):
         for _ in range(-e):
             divisor = ring.mul(divisor, si)
             bound += s.degree
-        if len(divisor) != (bound + 1) * d:
-            return None
-        inv = ring.unit_inverse(divisor[-d:])
-        if inv is None:
+        if len(divisor) != bound + 1:
             return None
         dividend = homogenized(a, n, ri, si)
         for _ in range(e):
             dividend = ring.mul(dividend, si)
-        return bool(ring.remainder(dividend, ring.mul(inv, divisor)))
+        return bool(ring.remainder(dividend, divisor))
 
     return test
 

@@ -667,6 +667,19 @@ def _reduce_fraction(num, den):
     base, variables = num.base, num.variables
     if num.is_zero():
         return num, DiffPoly.const(base, variables, 1)
+    # a constant side leaves the gcd 1 and the monomial content zero
+    if not (num.is_constant() or den.is_constant()):
+        num, den = _cancel_common_factor(num, den)
+    lead = den.leading_coefficient()
+    inv = lead.inverse()
+    num = num * inv
+    den = den * inv
+    return num, den
+
+
+def _cancel_common_factor(num, den):
+    """Cancel the gcd of two univariate sides, the monomial content of others."""
+    base, variables = num.base, num.variables
     used = num.used_variables() | den.used_variables()
     name = used.pop() if len(used) == 1 else None
     if name is not None and base.var is None and base.field is None:
@@ -703,10 +716,6 @@ def _reduce_fraction(num, den):
             den = DiffPoly(base, variables, {
                 tuple(x - s for x, s in zip(e, shift)): c for e, c in den.terms.items()
             })
-    lead = den.leading_coefficient()
-    inv = lead.inverse()
-    num = num * inv
-    den = den * inv
     return num, den
 
 

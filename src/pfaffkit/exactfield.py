@@ -23,12 +23,14 @@ written once, on lists of coefficients with ``*``, ``-`` and
 Q(theta), for differential rational functions over K(t), and for the
 reduction of scalars by their defining polynomial.
 
-``ModularPolys`` holds the images of ``UniPoly`` modulo one fixed prime
-(``MODULAR_PRIME``), with the theta-reduction rule of ``_block_mul``.  It
-only ever proves that an exact division leaves a remainder: ``image``
-refuses a polynomial whose denominators the prime divides, and a
-remainder counts only for a divisor whose leading coefficient maps to a
-unit (``unit_inverse``), since the defining polynomial may split mod p.
+``ModularPolys`` holds the images of ``UniPoly`` in F_p under one ring
+homomorphism: reduction mod a prime p with theta sent to a root rho of
+the defining polynomial mod p (``modular_root``: the largest such prime
+up to ``MODULAR_PRIME``), so an image is a list of ints mod p whatever
+the field.  It only ever proves that an exact division leaves a
+remainder: ``image`` refuses a polynomial whose denominators p divides,
+and a remainder counts only for a divisor whose leading coefficient has
+a nonzero image.
 
 Every ring in the package shares two things written here: ``power``,
 the one square-and-multiply loop, and the printer.  ``signed_sum`` joins
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 from .errors import (
@@ -1178,8 +1181,8 @@ def _block_mul(an, bn, field):
     reduced once by the integer defining polynomial.  A reduction step
     multiplies by its leading coefficient ``L``; every coefficient takes
     all ``d - 1`` steps, so the product is ``nums / L^(d-1)`` throughout.
-    This is the one theta-reduction rule: scalar products (one block each)
-    and the images of ``ModularPolys`` run it too.
+    This is the one theta-reduction rule: scalar products of degree 3 and
+    up run it too, on one block each.
     """
     d = field.degree
     ms, lead = field.minpoly_nums, field.minpoly_den
@@ -1212,81 +1215,187 @@ def _block_mul(an, bn, field):
 
 MODULAR_PRIME = 2 ** 61 - 1
 
+# the first 12 primes: Miller-Rabin with these bases is exact below 3.1 * 10^23
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin test, exact for every ``n < 3.1 * 10^23``."""
+    if n < 2:
+        return False
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _mod_rem(a, m, p):
+    """The remainder mod p of the list ``a`` (entries in [0, p)) by ``m``, whose top entry is 1."""
+    low = m[:-1]
+    a = list(a)
+    while len(a) >= len(m):
+        top = a.pop()
+        if top:
+            for i, c in enumerate(low, len(a) - len(low)):
+                a[i] = (a[i] - top * c) % p
+    return _trim_blocks(a, 1)
+
+
+def _mod_monic(a, p):
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _mod_gcd(a, b, p):
+    """The monic gcd mod p of the trimmed lists ``a`` (monic) and ``b``."""
+    while b:
+        a, b = _mod_monic(b, p), a
+        b = _mod_rem(b, a, p)
+    return a
+
+
+class _Residue:
+    """An element of F_p[x]/(g), g monic, with the ``*`` that ``power`` needs."""
+
+    __slots__ = ("cs", "g", "p")
+
+    def __init__(self, cs, g, p):
+        self.cs, self.g, self.p = cs, g, p
+
+    def __mul__(self, other):
+        p = self.p
+        prod = _nums_mul(self.cs, other.cs, None)[0] if self.cs and other.cs else []
+        return _Residue(_mod_rem([x % p for x in prod], self.g, p), self.g, p)
+
+
+def _power_minus_monomial(cs, n, k, g, p):
+    """The list of ``cs^n - x^k`` mod (g, p), for ``k < deg g``."""
+    out = power(_Residue([1], g, p), _Residue(_mod_rem(cs, g, p), g, p), n).cs
+    out += [0] * (k + 1 - len(out))
+    out[k] = (out[k] - 1) % p
+    return _trim_blocks(out, 1)
+
+
+def _mod_root(m, p):
+    """A root in F_p of the monic list ``m`` (entries in [0, p)), or None.
+
+    gcd(x^p - x, m) is the product of the distinct linear factors of m.
+    While it has several, equal-degree splitting with the fixed shifts
+    a = 0, 1, 2, ... takes gcd((x + a)^((p-1)/2) - 1, g): the roots r
+    with r + a a nonzero square.  Some shift in F_p separates any two
+    distinct roots, since a set of squares closed under a nonzero
+    translation would be all of F_p; so the walk ends.
+    """
+    if p == 2:
+        return 0 if m[0] % 2 == 0 else 1 if sum(m) % 2 == 0 else None
+    g = _mod_gcd(m, _power_minus_monomial([0, 1], p, 1, m, p), p)
+    a = 0
+    while len(g) > 2:
+        h = _mod_gcd(g, _power_minus_monomial([a, 1], (p - 1) // 2, 0, g, p), p)
+        if 1 < len(h) < len(g):
+            g = h
+        a += 1
+    return -g[0] % p if len(g) == 2 else None
+
+
+def modular_root(field):
+    """``(p, rho)`` for the images of ``field``, or None when no prime qualifies.
+
+    p is the largest prime <= ``MODULAR_PRIME`` that does not divide the
+    leading coefficient L of the integer defining polynomial and at which
+    the defining polynomial m has a root rho (0 over Q).  Computed on
+    first use and cached per (field, ``MODULAR_PRIME``).
+    """
+    return _modular_root(field, MODULAR_PRIME)
+
+
+@lru_cache
+def _modular_root(field, bound):
+    for p in range(bound, 1, -1):
+        if not _is_prime(p):
+            continue
+        if field is None:
+            return p, 0
+        lead = field.minpoly_den
+        if lead % p:
+            rho = _mod_root(_mod_monic(field.minpoly_nums + (lead,), p), p)
+            if rho is not None:
+                return p, rho
+    return None
+
 
 class ModularPolys:
-    """Images mod p = ``MODULAR_PRIME`` of ``UniPoly`` over one field.
+    """Images in F_p of ``UniPoly`` over one field, through theta -> rho.
 
-    An image is a list laid out as ``UniPoly.nums``, ``d`` ints in [0, p)
-    per coefficient, with no zero coefficient on top: an element of
-    F_p[theta]/(m)[x], m the defining polynomial mod p.  Reduction mod p is
-    a ring homomorphism on the polynomials whose denominators p does not
-    divide, when it does not divide that of the defining polynomial either;
-    ``image`` returns None for every other polynomial.  Products run
-    ``_block_mul`` (or plain convolution over Q) and are reduced after it.
+    ``modular_root`` gives the prime p and a root rho of the defining
+    polynomial m mod p.  Sending theta to rho and reducing mod p is a ring
+    homomorphism phi on the elements of Q(theta) whose denominators p does
+    not divide, since p does not divide that of m either; ``image``
+    returns None for every other polynomial, and for every polynomial
+    when no prime qualifies.  An image is a list of ints in [0, p), lowest
+    degree first, with no zero on top, whatever the field; products are
+    plain convolutions.
 
-    m may split mod p, so the images can have zero divisors, and
-    ``unit_inverse`` tells the units apart.  Long division by an exact
-    polynomial whose leading coefficient maps to a unit runs over the
-    p-integral numbers and commutes with reduction mod p.  A nonzero
-    ``remainder`` of the images therefore proves a nonzero exact remainder:
-    the modular image test of Brown (1971), used for rejection only.
+    Long division by an exact polynomial D with phi(lc D) nonzero runs in
+    the localisation at lc D and commutes with phi.  A nonzero
+    ``remainder`` of the images therefore proves a nonzero exact
+    remainder: the modular image test of Brown (1971), used for rejection
+    only.  This holds as well when m is reducible but only asserted
+    irreducible, and when rho is a repeated root mod p.
     """
 
-    __slots__ = ("field", "p", "d", "ms", "lead", "unscale")
+    __slots__ = ("field", "p", "root", "weights")
 
     def __init__(self, field):
-        self.field, self.p, self.d = field, MODULAR_PRIME, _dim(field)
-        self.ms, self.lead = (field.minpoly_nums, field.minpoly_den) if field else ((), 1)
-        # a product from _block_mul carries the factor lead^(d-1)
-        self.unscale = pow(self.lead, 1 - self.d, self.p) if self.lead % self.p else None
+        p, rho = modular_root(field) or (None, None)
+        self.field, self.p, self.root = field, p, rho
+        # the images of 1, theta, ..., theta^(d-1)
+        self.weights = None if p is None else [pow(rho, j, p) for j in range(_dim(field))]
 
     def image(self, u):
-        """The image of ``u``, or None when ``u`` or its field is not p-integral."""
+        """The image of ``u``, or None when ``u`` is not p-integral or from another field."""
         p = self.p
-        if self.unscale is None or u.den % p == 0:
+        if p is None or u.den % p == 0:
             return None
         if u.field is not self.field and u.field != self.field:
             return None
         inv = pow(u.den, -1, p)
-        return _trim_blocks([n * inv % p for n in u.nums], self.d)
+        nums, ws = u.nums, [w * inv % p for w in self.weights]
+        if len(ws) == 1:
+            w = ws[0]
+            return _trim_blocks([n * w % p for n in nums], 1)
+        d = len(ws)
+        return _trim_blocks(
+            [sum(n * w for n, w in zip(nums[i:i + d], ws)) % p for i in range(0, len(nums), d)], 1)
 
     def mul(self, a, b, c=(), e=()):
         """The image of ``a*b + c*e``."""
-        field = self.field
-        out = _nums_mul(a, b, field)[0] if a and b else []
+        out = _nums_mul(a, b, None)[0] if a and b else []
         if c and e:
-            t = _nums_mul(c, e, field)[0]
+            t = _nums_mul(c, e, None)[0]
             if len(t) > len(out):
                 out, t = t, out
             for i, x in enumerate(t):
                 out[i] += x
-        u, p = self.unscale, self.p
-        return _trim_blocks([x % p for x in out] if u == 1 else [x * u % p for x in out], self.d)
-
-    def unit_inverse(self, c):
-        """The inverse of the coefficient ``c`` (``d`` ints), or None for a non-unit.
-
-        ``c`` is a unit exactly when the norm ``_inverse_mod`` returns, the
-        determinant of multiplication by ``c``, is nonzero mod p.
-        """
-        inv, norm = ((1,), c[0]) if self.d == 1 else _inverse_mod(c, self.ms, self.lead)
-        if norm % self.p == 0:
-            return None
-        k = pow(norm, -1, self.p)
-        return [v * k % self.p for v in inv]
+        p = self.p
+        return _trim_blocks([x % p for x in out], 1)
 
     def remainder(self, a, m):
-        """The remainder of ``a`` divided by ``m``, whose top coefficient is one."""
-        d, p, low = self.d, self.p, m[:-self.d]
-        a = list(a)
-        while len(a) >= len(m):
-            top = a[-d:]
-            del a[-d:]
-            if any(top):
-                prod = [top[0] * c for c in low] if d == 1 else self.mul(top, low)
-                for i, c in enumerate(prod, len(a) - len(low)):
-                    a[i] = (a[i] - c) % p
-        return _trim_blocks(a, d)
+        """The remainder of ``a`` divided by the nonzero image ``m``."""
+        return _mod_rem(a, _mod_monic(m, self.p), self.p)
 
 
 def poly_gcd(p, q):

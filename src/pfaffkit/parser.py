@@ -363,12 +363,20 @@ def eval_ratfunc(node, ctx):
     # Unlike substitution (``diffalg.cleared_pair``), parsing reduces after
     # every operation: a sum of many fractions over one denominator, such as
     # 1/(y+1) + ... + 1/(y+1), then keeps that one denominator, where
-    # unreduced pairs would multiply all of them together.
+    # unreduced pairs would multiply all of them together.  Numbers, the
+    # field generator and t are elements of the base field, and so is every
+    # operation on two of them; a value becomes a DiffRatFunc only when it
+    # meets a ring variable.
     base, ring = ctx.base, ctx.ring
+
+    def lift(v):
+        if isinstance(v, DiffRatFunc):
+            return v
+        return DiffRatFunc.from_poly(DiffPoly.const(base, ring, v))
 
     def leaf(n):
         if isinstance(n, Num):
-            return DiffRatFunc.from_poly(DiffPoly.const(base, ring, n.value))
+            return base.coerce(n.value)
         if n.primes:
             raise ParseError(
                 f"derivatives of {n.name} are not allowed here", n.line, n.col
@@ -376,10 +384,9 @@ def eval_ratfunc(node, ctx):
         if n.name in ring:
             return DiffRatFunc.from_poly(DiffPoly.var(base, ring, n.name))
         if n.name == ctx.gen_name and ctx.gen_name is not None:
-            field = base.field
-            return DiffRatFunc.from_poly(DiffPoly.const(base, ring, field.gen()))
+            return base.coerce(base.field.gen())
         if n.name == base.var:
-            return DiffRatFunc.from_poly(DiffPoly.const(base, ring, base.gen()))
+            return base.coerce(base.gen())
         raise ParseError(f"unknown identifier {n.name!r}", n.line, n.col)
 
     def divide(n, lhs, rhs):
@@ -387,7 +394,14 @@ def eval_ratfunc(node, ctx):
             raise ParseError("division by zero", n.line, n.col)
         return lhs / rhs
 
-    return _fold(node, leaf, _ring_combine(pow, divide))
+    fold = _ring_combine(pow, divide)
+
+    def combine(n, a, b=None):
+        if isinstance(a, DiffRatFunc) or isinstance(b, DiffRatFunc):
+            a, b = lift(a), b if b is None else lift(b)
+        return fold(n, a, b)
+
+    return lift(_fold(node, leaf, combine))
 
 
 def eval_linear(node, ctx, yname="y"):

@@ -532,6 +532,9 @@ FILTER_FIELDS = {
     "Q(sqrt2)": pk.nf_new([-2, 0, 1]),
     "Q(cbrt2)": pk.nf_new([-2, 0, 0, 1]),
     "Q(cubic denominators)": pk.nf_new([Fraction(-1, 2), 0, Fraction(1, 3), 1]),
+    # no root mod 2^61 - 1: the test runs at a smaller prime
+    "Q(sqrt3)": pk.nf_new([-3, 0, 1]),
+    "Q(i)": pk.nf_new([1, 0, 1]),
 }
 
 
@@ -551,30 +554,48 @@ def counting_substitute_cleared(monkeypatch):
     return calls
 
 
+def check_rejections(field, rng):
+    """Every candidate the modular test rejects, for a random f, fails the exact
+    rule; returns how many it rejected."""
+    A, B = rand_unipoly(rng, field, max_deg=4), rand_unipoly(rng, field, max_deg=3)
+    if B.is_zero():
+        B = pk.UniPoly.const(1, field)
+    g = pk.poly_gcd(A, B)
+    A, B = A // g, B // g
+    pairs = [(rand_unipoly(rng, field, max_deg=2), rand_unipoly(rng, field, max_deg=2))
+             for _ in range(4)]
+    # random pairs go through the catalog (reduced) and to the test as drawn
+    tried = list(_candidates(A, B, pairs, 3))
+    tried += [with_w(r, s) for r, s in pairs if not s.is_zero()]
+    test = _modular_test(A, B)
+    rejected = 0
+    for r, s, w in tried:
+        if w.is_zero():
+            continue
+        if test(r, s, w):
+            assert _presentation_rule(A, B, r, s, w) is None
+            rejected += 1
+    return rejected
+
+
 class TestModularFilter:
     """The mod-p rejection in front of the exact presentation rule."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from(sorted(FILTER_FIELDS)), st.integers(0, 2 ** 32))
     def test_a_rejection_is_never_overturned(self, name, seed):
-        field = FILTER_FIELDS[name]
-        rng = random.Random(seed)
-        A, B = rand_unipoly(rng, field, max_deg=4), rand_unipoly(rng, field, max_deg=3)
-        if B.is_zero():
-            B = pk.UniPoly.const(1, field)
-        g = pk.poly_gcd(A, B)
-        A, B = A // g, B // g
-        pairs = [(rand_unipoly(rng, field, max_deg=2), rand_unipoly(rng, field, max_deg=2))
-                 for _ in range(4)]
-        # random pairs go through the catalog (reduced) and to the test as drawn
-        tried = list(_candidates(A, B, pairs, 3))
-        tried += [with_w(r, s) for r, s in pairs if not s.is_zero()]
-        test = _modular_test(A, B)
-        for r, s, w in tried:
-            if w.is_zero():
-                continue
-            if test(r, s, w):
-                assert _presentation_rule(A, B, r, s, w) is None
+        check_rejections(FILTER_FIELDS[name], random.Random(seed))
+
+    @pytest.mark.parametrize("prime", [3, 5, 7, 13])
+    def test_a_rejection_at_a_small_prime_is_never_overturned(self, prime, monkeypatch):
+        # small primes split the defining polynomials, give repeated roots
+        # (x^2 - 3 at 3) and make the images of nonzero coefficients vanish
+        monkeypatch.setattr(exactfield, "MODULAR_PRIME", prime)
+        rejected = 0
+        for name, field in sorted(FILTER_FIELDS.items()):
+            for seed in range(25):
+                rejected += check_rejections(field, random.Random(f"{name}/{prime}/{seed}"))
+        assert rejected > 0
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from(sorted(FILTER_FIELDS)), st.integers(0, 2 ** 32))
@@ -632,21 +653,22 @@ class TestModularFilter:
         assert _modular_test(xf, xf * xf + 1)(*with_w(xf, onef)) is None
 
     def test_non_unit_leading_coefficient_falls_through(self, monkeypatch):
-        # x^2 - 2 splits mod 7 (3^2 = 2), so 3 - r is a zero divisor there
-        # though not zero; it is the leading coefficient of B and, for
-        # h = x, of the divisor
+        # mod 7, x^2 - 2 has the roots 3 and 4 and r goes to one of them,
+        # rho; rho - r is nonzero but its image is zero, and it is the
+        # leading coefficient of B and, for h = x, of the divisor
         field = FILTER_FIELDS["Q(sqrt2)"]
-        x, one = pk.UniPoly.x(field), pk.UniPoly.const(1, field)
-        A = x * x + 1
-        B = x * pk.UniPoly.const(3 - field.gen(), field) + 1
-        cand = with_w(x, one)
-        assert _presentation_rule(A, B, *cand) is None
-        assert _modular_test(A, B)(*cand) is True
         monkeypatch.setattr(exactfield, "MODULAR_PRIME", 7)
         ring = exactfield.ModularPolys(field)
-        lc = ring.image(B)[-2:]
-        assert any(lc) and ring.unit_inverse(lc) is None
+        assert ring.p == 7 and ring.root in (3, 4)
+        x, one = pk.UniPoly.x(field), pk.UniPoly.const(1, field)
+        A = x * x + 1
+        B = x * pk.UniPoly.const(ring.root - field.gen(), field) + 1
+        cand = with_w(x, one)
+        assert _presentation_rule(A, B, *cand) is None
+        assert B.degree == 1 and ring.image(B) == [1]
         assert _modular_test(A, B)(*cand) is None
+        monkeypatch.undo()
+        assert _modular_test(A, B)(*cand) is True
 
     def test_cancellation_at_equal_degrees_falls_through(self):
         # B(1) = 0 and lc R = lc S, so B~ = R^2 - S^2 = -(2x + 5) drops a degree

@@ -98,6 +98,46 @@ class TestExpressionParsing:
             assert code == 0, eq
             assert doc["verdicts"] == {"pfaffian": "yes", "rationally_pfaffian": "yes"}
 
+    @pytest.mark.parametrize("eq, code, expected", [
+        ("y' = y/(2-2)", 1, {"error": {
+            "kind": "parse", "message": "division by zero", "line": 1, "column": 7,
+            "expected": []}}),
+        # a constant of Q(r) that is zero only by the defining polynomial
+        ("y' = y + 1/(r^2-2) over Q(r: r^2-2)", 1, {"error": {
+            "kind": "parse", "message": "division by zero", "line": 1, "column": 11,
+            "expected": []}}),
+        ("y' = (1/0)*y", 1, {"error": {
+            "kind": "parse", "message": "division by zero", "line": 1, "column": 8,
+            "expected": []}}),
+        ("y' = 0^0*y", 0, {
+            "command": "classify-ode", "input": "y' = 0^0*y", "base": "Q",
+            "verdicts": {"pfaffian": "yes", "rationally_pfaffian": "yes"}, "criteria": [],
+            "certificates": {
+                "rational_chain": ["y1' = y1"], "noetherian_system": ["y' = y*w", "w' = 0"],
+                "noetherian_assignments": ["y", "1"], "pfaffian_chain": ["y1' = y1"],
+                "element": "y1"},
+            "reasons": {"pfaffian": None, "rationally_pfaffian": None},
+            "notes": [], "provenance": []}),
+        # a constant of K(t) times the ring variable
+        ("y' = (1/t)*y^2", 0, {
+            "command": "classify-ode", "input": "y' = (1/t)*y^2", "base": "Q(t)",
+            "verdicts": {"pfaffian": "yes", "rationally_pfaffian": "yes"}, "criteria": [],
+            "certificates": {
+                "rational_chain": ["y1' = (1/t)*y1^2"],
+                "noetherian_system": ["y' = (1/t)*y^2*w", "w' = 0"],
+                "noetherian_assignments": ["y", "1"],
+                "pfaffian_chain": ["y1' = (1/t)*y1^2"], "element": "y1"},
+            "reasons": {"pfaffian": None, "rationally_pfaffian": None},
+            "notes": [], "provenance": []}),
+        ("y' = y^10001", 1, {"error": {
+            "kind": "parse", "message": "exponent 10001 exceeds the supported bound 10000",
+            "line": 1, "column": 8, "expected": []}}),
+    ])
+    def test_constant_subexpression_envelopes(self, eq, code, expected):
+        doc, got = invoke("classify-ode", eq)
+        assert got == code
+        assert doc == {"schema_version": "1", **expected}
+
 
 class TestRoundTrips:
     def test_expression_round_trip_on_fixture_strings(self):

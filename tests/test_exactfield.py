@@ -17,13 +17,16 @@ from pfaffkit.errors import (
 from pfaffkit.diffalg import RatFunc
 from pfaffkit.exactfield import (
     AlgebraicScalar,
+    MODULAR_PRIME,
     ModularPolys,
     UniPoly,
+    _is_prime,
     _rational_roots,
     _reduce_mod,
     dense_divmod,
     dense_gcd,
     extract_linear_roots,
+    modular_root,
     scalar_sqrt,
 )
 
@@ -476,6 +479,9 @@ INTEGER_FIELDS = {
     # x^3 + x^2/3 - 1/2: reduction by 6x^3 + 2x^2 - 3 multiplies by 6 at each step
     "Q(cubic denominators)": pk.nf_new([Fraction(-1, 2), 0, Fraction(1, 3), 1]),
     "Q(x^4+2)": pk.nf_new([2, 0, 0, 0, 1]),
+    # neither has a root mod 2^61 - 1, so their images are taken at a smaller prime
+    "Q(sqrt3)": pk.nf_new([-3, 0, 1]),
+    "Q(i)": pk.nf_new([1, 0, 1]),
 }
 
 
@@ -867,12 +873,10 @@ class TestIntegerUniPoly:
 class TestModularPolys:
     """Images mod p follow the exact ring operations and the exact remainder."""
 
-    @pytest.mark.parametrize("name", UNIPOLY_FIELDS + ("Q(x^4+2)",))
+    @pytest.mark.parametrize("name", list(INTEGER_FIELDS))
     def test_images_follow_exact_arithmetic(self, name):
         field = INTEGER_FIELDS[name]
         ring = ModularPolys(field)
-        d = field.degree if field else 1
-        one = [1] + [0] * (d - 1)
         image = ring.image
         rng = random.Random(f"modular/{name}")
         for i in range(60):
@@ -881,11 +885,10 @@ class TestModularPolys:
             assert ring.mul(image(a), image(b), image(c), image(e)) == image(a * b + c * e)
             if b.is_zero():
                 continue
-            top = image(b)[-d:]
-            assert len(image(b)) == len(b.nums)
-            inv = ring.unit_inverse(top)
-            assert ring.mul(inv, top) == one
-            assert ring.remainder(image(a), ring.mul(inv, image(b))) == image(a % b)
+            # one int in [0, p) per coefficient, whatever the field
+            assert len(image(b)) == b.degree + 1
+            assert all(type(v) is int and 0 <= v < ring.p for v in image(b))
+            assert ring.remainder(image(a), image(b)) == image(a % b)
 
     def test_no_image_without_p_integrality(self, monkeypatch):
         monkeypatch.setattr(pk.exactfield, "MODULAR_PRIME", 3)
@@ -897,6 +900,91 @@ class TestModularPolys:
         # 3 divides 6, the leading coefficient of 6x^2 - 3x - 2
         field = INTEGER_FIELDS["Q(denominators)"]
         assert ModularPolys(field).image(UniPoly.x(field)) is None
+
+
+def integer_defining_poly(field):
+    """The defining polynomial of ``field`` with integer coefficients, lowest first."""
+    return list(field.minpoly_nums) + [field.minpoly_den]
+
+
+def has_root_mod(cs, q):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(list(reversed(cs)), x, modulus=q)
+    return any(f.degree() == 1 for f, _ in poly.factor_list()[1])
+
+
+class TestModularRoot:
+    """The prime and the root that ``ModularPolys`` sends theta to."""
+
+    @pytest.mark.parametrize("name", [n for n in INTEGER_FIELDS if INTEGER_FIELDS[n]])
+    def test_root_of_the_defining_polynomial_at_the_largest_prime(self, name):
+        sympy = pytest.importorskip("sympy")
+        field = INTEGER_FIELDS[name]
+        p, rho = modular_root(field)
+        cs = integer_defining_poly(field)
+        assert sympy.isprime(p) and field.minpoly_den % p != 0
+        assert 0 <= rho < p and sum(c * pow(rho, i, p) for i, c in enumerate(cs)) % p == 0
+        # every larger prime divides L or leaves m without a root
+        for q in sympy.primerange(p + 1, MODULAR_PRIME + 1):
+            assert field.minpoly_den % q == 0 or not has_root_mod(cs, q), q
+        ring = ModularPolys(field)
+        assert (ring.p, ring.root) == (p, rho)
+        assert ring.image(UniPoly.x(field)) == [0, 1]
+        assert ring.image(UniPoly(field, [field.gen()])) == [rho]
+
+    def test_integral_fields_use_the_mersenne_prime(self):
+        assert MODULAR_PRIME == 2 ** 61 - 1
+        assert modular_root(INTEGER_FIELDS["Q"]) == (MODULAR_PRIME, 0)
+        assert modular_root(INTEGER_FIELDS["Q(sqrt2)"]) == (MODULAR_PRIME, 2 ** 31)
+        assert modular_root(INTEGER_FIELDS["Q(cbrt2)"])[0] == MODULAR_PRIME
+        assert modular_root(INTEGER_FIELDS["Q(sqrt3)"])[0] < MODULAR_PRIME
+        assert modular_root(INTEGER_FIELDS["Q(i)"])[0] < MODULAR_PRIME
+
+    def test_small_primes_against_brute_force(self, monkeypatch):
+        sympy = pytest.importorskip("sympy")
+        for bound in range(0, 60):
+            monkeypatch.setattr(pk.exactfield, "MODULAR_PRIME", bound)
+            for name, field in INTEGER_FIELDS.items():
+                cs = [0, 1] if field is None else integer_defining_poly(field)
+
+                def value(r):
+                    return sum(c * r ** i for i, c in enumerate(cs))
+
+                expected = [q for q in sympy.primerange(2, bound + 1)
+                            if cs[-1] % q and any(value(r) % q == 0 for r in range(q))]
+                found = modular_root(field)
+                if not expected:
+                    assert found is None, (bound, name)
+                    assert ModularPolys(field).image(UniPoly.x(field)) is None
+                    continue
+                p, rho = found
+                assert p == expected[-1], (bound, name)
+                assert value(rho) % p == 0
+
+    def test_repeated_root(self, monkeypatch):
+        # mod 3, x^2 - 3 = x^2 has the double root 0; mod 7 and 5 it has none
+        monkeypatch.setattr(pk.exactfield, "MODULAR_PRIME", 7)
+        field = INTEGER_FIELDS["Q(sqrt3)"]
+        assert modular_root(field) == (3, 0)
+        ring = ModularPolys(field)
+        x, r = UniPoly.x(field), UniPoly(field, [field.gen()])
+        assert ring.image(x * x - r * r) == ring.mul(ring.image(x), ring.image(x)) == [0, 0, 1]
+
+    def test_miller_rabin_matches_isprime(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(61)
+        for n in [rng.getrandbits(61) | 1 for _ in range(3000)] + list(range(-2, 2000)):
+            assert _is_prime(n) == sympy.isprime(n), n
+        # strong pseudoprimes to the first bases, and Carmichael numbers
+        strong_pseudoprimes = [
+            2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+            341550071728321, 3825123056546413051, 561, 41041,
+        ]
+        for n in strong_pseudoprimes:
+            assert not _is_prime(n) and not sympy.isprime(n), n
+        for n in (2 ** 61 - 1, 2 ** 31 - 1, 2 ** 89 - 1, 1000000007):
+            assert _is_prime(n)
 
 
 FIELDS_FOR_PROPERTIES = ("Q", "Q(sqrt2)", "Q(denominators)")
