@@ -5,10 +5,10 @@ K(t) with d/dt; multivariate differential polynomials carry the
 coefficient derivation.  Also home to the rational-function coefficient
 type, the logarithmic-derivative (Riccati-style) reduction of a monic
 linear equation, and exact composition of univariate rational
-functions.  Univariate differential rational functions are reduced over
-Q by ``UniPoly`` division and ``poly_gcd``, which run on integers, and
-over Q(theta) and K(t) by the dense kernel ``exactfield.dense_divmod``
-and ``exactfield.dense_gcd``.
+functions.  ``_reduce_fraction`` reduces every differential rational
+function: in one variable by ``poly_gcd`` on ``UniPoly`` over the
+constants and by the dense kernel ``exactfield.dense_gcd`` over K(t), in
+several variables by cancelling the common monomial content.
 
 ``RatFunc`` and ``DiffRatFunc`` share their field operations through the
 base class ``_Fraction``.  Printing is ``exactfield``'s term printer, with
@@ -72,6 +72,14 @@ class _Fraction:
 
     __slots__ = ()
 
+    @classmethod
+    def _reduced(cls, num, den):
+        """``num/den`` as given, for sides already in ``__init__``'s normal form."""
+        f = cls.__new__(cls)
+        f.num = num
+        f.den = den
+        return f
+
     def is_zero(self):
         return self.num.is_zero()
 
@@ -122,7 +130,8 @@ class _Fraction:
             return NotImplemented
         if n < 0:
             return type(self)(self.den, self.num) ** (-n)
-        return type(self)(self.num ** n, self.den ** n)
+        # gcd(a^n, b^n) = 1 when gcd(a, b) = 1, and a leading coefficient 1 stays 1
+        return self._reduced(self.num ** n, self.den ** n)
 
     def _quotient_rule(self, dnum, dden):
         """The derivative of ``num/den`` from the derivatives of its two sides."""
@@ -491,9 +500,13 @@ class DiffPoly:
         return self.terms == b.terms
 
     def __hash__(self):
-        # a constant equals its value under ``==``, so it hashes as the value
+        # a constant equals its value under ``==``, so it hashes as the value;
+        # in several variables a fraction not reduced to this polynomial may
+        # equal it, and hashes by the ring
         if self.is_constant():
             return hash(self.constant_coefficient())
+        if len(self.variables) > 1:
+            return hash((self.base, self.variables))
         return hash((self.base, self.variables, frozenset(self.terms.items())))
 
     def __repr__(self):
@@ -513,12 +526,6 @@ class DiffPoly:
             self.base.term_str(c, monomial_str(self.variables, e))
             for e, c in self.sorted_terms()
         )
-
-
-def _ring_of(value):
-    if isinstance(value, DiffPoly):
-        return value.base, value.variables
-    return value.num.base, value.num.variables
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +552,7 @@ class DiffRatFunc(_Fraction):
 
     @staticmethod
     def from_poly(p):
-        return DiffRatFunc(p, DiffPoly.const(p.base, p.variables, 1))
+        return DiffRatFunc._reduced(p, DiffPoly.const(p.base, p.variables, 1))
 
     @property
     def base(self):
@@ -588,8 +595,7 @@ class DiffRatFunc(_Fraction):
 
     def __eq__(self, other):
         if isinstance(other, (DiffPoly, DiffRatFunc)):
-            o_base, o_vars = _ring_of(other)
-            if self.base != o_base or self.variables != o_vars:
+            if self.base != other.base or self.variables != other.variables:
                 return False
         b = self._coerce(other)
         if b is None:
@@ -604,14 +610,18 @@ class DiffRatFunc(_Fraction):
         if len(self.variables) <= 1:
             return self.num, self.den
         # in several variables only monomial content is cancelled, so equal
-        # fractions may differ by a common factor: only the ring is invariant
+        # fractions may differ by a common factor: a fraction equal to a
+        # number hashes as that number, any other only by its ring
+        c = self.num.leading_coefficient()
+        if self.num == self.den * c:
+            return c
         return self.base, self.variables
 
     def __repr__(self):
         return f"<diffratfunc {self}>"
 
     def __str__(self):
-        if self.den.is_constant() and (self.den.constant_coefficient() - self.base.one()).is_zero():
+        if self.den.is_constant():
             return str(self.num)
         return ratio_str(str(self.num), str(self.den))
 
@@ -664,58 +674,44 @@ def dense_to_diffpoly(base, variables, name, coeffs):
 
 
 def _reduce_fraction(num, den):
+    """``num/den`` in lowest terms, the denominator's leading coefficient 1.
+
+    In one variable the common factor is the gcd: ``poly_gcd`` on
+    ``UniPoly`` over the constants, the dense kernel over K(t).  In several
+    variables only the common monomial content is cancelled.
+    """
     base, variables = num.base, num.variables
     if num.is_zero():
         return num, DiffPoly.const(base, variables, 1)
     # a constant side leaves the gcd 1 and the monomial content zero
     if not (num.is_constant() or den.is_constant()):
-        num, den = _cancel_common_factor(num, den)
+        used = num.used_variables() | den.used_variables()
+        if len(used) > 1:
+            shift = [min(col) for col in zip(*num.terms, *den.terms)]
+            if any(shift):
+                num, den = (DiffPoly(base, variables, {
+                    tuple(x - s for x, s in zip(e, shift)): c for e, c in p.terms.items()
+                }) for p in (num, den))
+        elif base.var is None:
+            name = used.pop()
+            a, b = to_unipoly(num, name), to_unipoly(den, name)
+            g = poly_gcd(a, b)
+            if g.degree > 0:
+                num = from_unipoly(a // g, base, variables, name)
+                den = from_unipoly(b // g, base, variables, name)
+        else:
+            name = used.pop()
+            a, b = univar_dense(num, name), univar_dense(den, name)
+            g = dense_gcd(a, b)
+            if len(g) > 1:
+                # g is monic, so the inverse of its leading coefficient is 1
+                one = base.one()
+                num = dense_to_diffpoly(base, variables, name, dense_divmod(a, g, one)[0])
+                den = dense_to_diffpoly(base, variables, name, dense_divmod(b, g, one)[0])
     lead = den.leading_coefficient()
-    inv = lead.inverse()
-    num = num * inv
-    den = den * inv
-    return num, den
-
-
-def _cancel_common_factor(num, den):
-    """Cancel the gcd of two univariate sides, the monomial content of others."""
-    base, variables = num.base, num.variables
-    used = num.used_variables() | den.used_variables()
-    name = used.pop() if len(used) == 1 else None
-    if name is not None and base.var is None and base.field is None:
-        # over Q, UniPoly's gcd and division run on integers
-        a, b = to_unipoly(num, name), to_unipoly(den, name)
-        g = poly_gcd(a, b)
-        if g.degree > 0:
-            num = from_unipoly(a // g, base, variables, name)
-            den = from_unipoly(b // g, base, variables, name)
-    elif name is not None:
-        a = univar_dense(num, name)
-        b = univar_dense(den, name)
-        g = dense_gcd(a, b)
-        if len(g) > 1:
-            # g is monic, so the inverse of its leading coefficient is 1
-            one = base.one()
-            num = dense_to_diffpoly(base, variables, name, dense_divmod(a, g, one)[0])
-            den = dense_to_diffpoly(base, variables, name, dense_divmod(b, g, one)[0])
-    else:
-        # several variables, or none: cancel common monomial content only
-        def content(p):
-            it = iter(p.terms)
-            m = list(next(it))
-            for e in it:
-                m = [min(x, y) for x, y in zip(m, e)]
-            return m
-
-        cn, cd = content(num), content(den)
-        shift = [min(x, y) for x, y in zip(cn, cd)]
-        if any(shift):
-            num = DiffPoly(base, variables, {
-                tuple(x - s for x, s in zip(e, shift)): c for e, c in num.terms.items()
-            })
-            den = DiffPoly(base, variables, {
-                tuple(x - s for x, s in zip(e, shift)): c for e, c in den.terms.items()
-            })
+    if lead != 1:
+        inv = lead.inverse()
+        num, den = num * inv, den * inv
     return num, den
 
 

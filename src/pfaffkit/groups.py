@@ -46,25 +46,38 @@ class Atom(GroupExpr):
 class Product(GroupExpr):
     children: tuple
 
-    def __str__(self):
-        return "Prod(" + ", ".join(str(c) for c in self.children) + ")"
-
 
 @dataclass(frozen=True)
 class Extension(GroupExpr):
     normal: GroupExpr
     quotient: GroupExpr
 
-    def __str__(self):
-        return f"Ext({self.normal}, {self.quotient})"
-
 
 @dataclass(frozen=True)
 class UnknownSubgroupOf(GroupExpr):
     parent: GroupExpr
 
-    def __str__(self):
-        return f"Sub({self.parent})"
+
+def _expr_str(g):
+    """``str`` of a product, extension or unknown subgroup, built with an
+    explicit stack so that a deep tree prints without recursion."""
+    out = []
+    stack = [g]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Product):
+            parts = [x for c in item.children for x in (", ", c)][1:]
+            stack += (")", *reversed(parts), "Prod(")
+        elif isinstance(item, Extension):
+            stack += (")", item.quotient, ", ", item.normal, "Ext(")
+        elif isinstance(item, UnknownSubgroupOf):
+            stack += (")", item.parent, "Sub(")
+        else:
+            out.append(str(item))
+    return "".join(out)
+
+
+Product.__str__ = Extension.__str__ = UnknownSubgroupOf.__str__ = _expr_str
 
 
 def Ga():
@@ -319,16 +332,20 @@ def _goursat_parent_ok(parent):
     # alphabet: the algebraic subgroups of SL(2) (equivalently PSL(2)) and
     # tori/finite factors; subgroups of such products decompose with
     # quotients among Fin, Ga, Gm, PSL(2)
-    if isinstance(parent, Atom):
-        if parent.kind in _GOURSAT_ATOMS:
-            return True
-        return parent in (Atom("SL", 2), Atom("PSL", 2))
-    if isinstance(parent, Product):
-        return all(_goursat_parent_ok(c) for c in parent.children)
-    if isinstance(parent, UnknownSubgroupOf):
-        # a subgroup of a subgroup is a subgroup of the outer parent
-        return _goursat_parent_ok(parent.parent)
-    return False
+    stack = [parent]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Atom):
+            if node.kind not in _GOURSAT_ATOMS and node not in (Atom("SL", 2), Atom("PSL", 2)):
+                return False
+        elif isinstance(node, Product):
+            stack.extend(node.children)
+        elif isinstance(node, UnknownSubgroupOf):
+            # a subgroup of a subgroup is a subgroup of the outer parent
+            stack.append(node.parent)
+        else:
+            return False
+    return True
 
 
 def d_solvable(g, d):

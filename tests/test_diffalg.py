@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,9 +12,12 @@ from pfaffkit.diffalg import (
     DiffPoly,
     DiffRatFunc,
     RatFunc,
+    _reduce_fraction,
+    dense_to_diffpoly,
     riccati_reduce,
     sole_variable,
     substitute,
+    univar_dense,
 )
 from pfaffkit.errors import (
     ArityMismatch,
@@ -20,6 +25,7 @@ from pfaffkit.errors import (
     NotMonic,
     UnknownVariable,
 )
+from pfaffkit.exactfield import dense_divmod, dense_gcd
 
 from conftest import rand_diffpoly, rand_fraction, rand_nonzero_poly, rand_poly
 
@@ -453,7 +459,97 @@ class TestHashAgreesWithEquality:
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
 
+    def test_multivariate_fractions_hash_like_what_they_equal(self):
+        y1, y2 = yvars(C)
+        a = DiffRatFunc(y1 * y2 + y1, y2 + 1)
+        assert a.den.terms != {(0, 0): C.one()}  # the factor y2 + 1 stays
+        assert a == y1 and hash(a) == hash(y1)
+        assert len({a, y1}) == 1
+        b = DiffRatFunc(3 * y1 + 3 * y2, y1 + y2)
+        assert b == 3 and hash(b) == hash(3)
+        assert len({b, 3}) == 1
+        u1, u2 = yvars(Kt)
+        t = Kt.gen()
+        c = DiffRatFunc(t * u1 + t * u2, u1 + u2)
+        assert c == t and hash(c) == hash(t)
+
     def test_rational_functions_over_q_hash_like_their_lift(self, sqrt2):
         Q_t = RatFunc(pk.UniPoly.x() + 1, pk.UniPoly.x() ** 2 - 3)
         lifted = RatFunc(pk.UniPoly(sqrt2, Q_t.num.coeffs), pk.UniPoly(sqrt2, Q_t.den.coeffs))
         assert Q_t == lifted and hash(Q_t) == hash(lifted)
+
+
+def ref_qtheta_reduce(num, den):
+    """Test-only copy of the dense-Euclid branch that reduced univariate
+    fractions over Q(theta) before ``poly_gcd`` on ``UniPoly`` did."""
+    base, variables = num.base, num.variables
+    (name,) = num.used_variables() | den.used_variables()
+    a, b = univar_dense(num, name), univar_dense(den, name)
+    g = dense_gcd(a, b)
+    if len(g) > 1:
+        one = base.one()
+        num = dense_to_diffpoly(base, variables, name, dense_divmod(a, g, one)[0])
+        den = dense_to_diffpoly(base, variables, name, dense_divmod(b, g, one)[0])
+    inv = den.leading_coefficient().inverse()
+    return num * inv, den * inv
+
+
+class TestFractionNormalForm:
+    @pytest.fixture
+    def rings(self, sqrt2, cbrt2):
+        one = ("y",)
+        return [
+            (C, one), (BaseDiffField.constants(sqrt2), one), (BaseDiffField.constants(cbrt2), one),
+            (Kt, one), (BaseDiffField.rational_functions(sqrt2), one), (C, ("y1", "y2")),
+        ]
+
+    def test_powers_and_polynomials_are_built_reduced(self, rings):
+        rng = random.Random(1212)
+        for base, names in rings:
+            one = DiffPoly.const(base, names, 1)
+            # the reference reduces f.num^3/f.den^3 from scratch, and the dense
+            # gcd over Q(r)(t) is slow on cubes of degree 6
+            deg = 1 if base.var else 2
+            for _ in range(12):
+                f = DiffRatFunc(*(rand_nonzero_poly(rng, base, names, deg) for _ in range(2)))
+                for n in range(4):
+                    g, ref = f ** n, DiffRatFunc(f.num ** n, f.den ** n)
+                    assert (g.num.terms, g.den.terms) == (ref.num.terms, ref.den.terms), (base, f, n)
+                p = rand_poly(rng, base, names)
+                g, ref = DiffRatFunc.from_poly(p), DiffRatFunc(p, one)
+                assert (g.num.terms, g.den.terms) == (ref.num.terms, ref.den.terms), (base, p)
+
+    def test_univariate_reduction_over_a_number_field_matches_dense_euclid(self, sqrt2, cbrt2):
+        rng = random.Random(1313)
+        for field in (sqrt2, cbrt2):
+            base = BaseDiffField.constants(field)
+            checked = 0
+            while checked < 40:
+                a, b, g = (rand_nonzero_poly(rng, base, ("y",)) for _ in range(3))
+                num, den = a * g, b * g
+                if num.is_constant() or den.is_constant():
+                    continue
+                red = _reduce_fraction(num, den)
+                ref = ref_qtheta_reduce(num, den)
+                assert (red[0].terms, red[1].terms) == (ref[0].terms, ref[1].terms), (num, den)
+                checked += 1
+
+    @pytest.mark.parametrize("defining", ["r^2-2", "r^3-2"])
+    @pytest.mark.parametrize("rhs", [
+        "(((((y*t-r)+y)/((y-1)*y))+((r+0)*((y-1)*1))))^3",
+        "(((y*t-r)+y)/((y-1)*y) + r*(y-1))^3",
+    ])
+    def test_power_of_a_fraction_over_a_number_field_and_t_parses(self, rhs, defining):
+        # the power of a reduced fraction is reduced; reducing it again ran
+        # the K(t) gcd over Q(r), which did not finish
+        code = (
+            "import sys\n"
+            "from pfaffkit.parser import parse_ode_text\n"
+            "print(parse_ode_text(sys.argv[1]).f)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, f"y' = {rhs} over Q(r: {defining})"],
+            capture_output=True, text=True, check=False, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "y^9" in proc.stdout

@@ -227,6 +227,17 @@ class TestWalkMatchesRecursion:
         assert v.is_yes
         assert v.witness == ("Ga",) * 2001
 
+    def test_a_deep_tree_under_a_subgroup_needs_no_recursion(self):
+        for inner, value in ((Gm(), "yes"), (GL(3), "unknown")):
+            g = inner
+            for _ in range(2000):
+                g = product(g, Ga())
+            v = check_series(subgroup_of(g), EULERIAN)
+            assert v.value == value
+            if value == "unknown":
+                assert "GL(3)" in v.reason
+                assert v.reason.count("Prod(") == 2000
+
 
 class TestDSolvable:
     def test_gl_n_at_level_n(self):
