@@ -12,16 +12,15 @@ derivative of the candidate element through the chain rules and
 defining equation.  Both reduce to exact cross-multiplied polynomial
 identities.
 
-The presentation search decides each candidate by one exact division.
-In front of it, a test in F_p (``_modular_test``) rejects a candidate
-only when the division provably leaves a remainder.  When no prime
-qualifies for the field, the prime divides a denominator, or the image
-of the divisor does not show its exact degree, the candidate is left to
-the exact test.
+The presentation search decides each candidate by one exact division
+of the pair ``exactfield.homogenized_pair`` builds; in front of it, the
+same pair in F_p rejects a candidate only when that division provably
+leaves a remainder.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -44,7 +43,6 @@ from .diffalg import (
     pair_mul,
     pair_sub,
     sole_variable,
-    substitute_cleared,
     to_unipoly,
 )
 from .exactfield import (
@@ -52,6 +50,7 @@ from .exactfield import (
     ModularPolys,
     UniPoly,
     extract_linear_roots,
+    homogenized_pair,
     poly_gcd,
     ratio_str,
 )
@@ -338,9 +337,7 @@ class PresentationCertificate:
     """A one-rule chain b' = P(b) together with the element h(b) = R(b)/S(b).
 
     Witnesses that the generic solution of y' = f(y) lives in a
-    polynomial chain: with W = R'S - RS' (nonzero since h is
-    non-constant) the rule is P = f(h) S^2 / W, which the search only
-    accepts when the division is exact.
+    polynomial chain: the rule is P = f(h) S^2 / W with W = R'S - RS'.
     """
 
     r: UniPoly
@@ -361,13 +358,9 @@ def search_presentation(f, candidates=(), degree_bound=3):
 
     Candidates h = R/S come from a fixed catalog built on the visible
     zeros and poles of f (plus 0 and 1) together with user-supplied
-    (R, S) pairs.  A candidate is accepted only when its rule
-    P = f(h) S^2 / W is a polynomial: with f(h) S^2 = N/D in lowest
-    terms (``substitute_cleared``) and W = R'S - RS', that is when D*W
-    divides N exactly, and P is the quotient.  Before that exact test a
-    modular one (``_modular_test``) rejects most candidates at the cost of
-    a few products mod a prime; it only ever rejects a candidate the exact
-    test would reject.  This is a semi-decision: no bound on chain length
+    (R, S) pairs.  A candidate is accepted only when its rule is a
+    polynomial (``_presentation_rule``), after ``_modular_test`` has let
+    it through.  This is a semi-decision: no bound on chain length
     exists, so an empty result is *not* a refutation.  Every returned
     certificate has already passed ``verify_forward``.
     """
@@ -444,70 +437,46 @@ def _candidates(A, B, extra, degree_bound):
 def _modular_test(A, B):
     """The test ``(r, s, w) -> True | False | None`` run in front of ``_presentation_rule``.
 
-    With n = deg A, m = deg B, e = m - n + 2 and the homogenized
-    A~ = sum a_i R^i S^(n-i) (B~ likewise), the rule f(R/S) S^2 / W is a
-    polynomial exactly when the divisor B~ W S^max(-e,0) divides the
-    dividend A~ S^max(e,0).  The test computes both in F_p, theta sent to
-    a root of its defining polynomial mod p (``ModularPolys``; A and B
-    are mapped once), and answers True, a sure rejection, only when the
-    remainder there is nonzero; False when it is zero; None when it
-    cannot decide.  It cannot when no prime qualifies, when p divides a
-    denominator of A, B, R, S or W, and when the image of the divisor is
-    zero at the divisor's degree bound
+    The exact test's pair (``homogenized_pair``, whose n, m and e are used
+    here) mapped to F_p by ``ModularPolys``, A and B once: True, a sure
+    rejection, when the remainder there is nonzero; False when it is
+    zero; None when no prime qualifies, p divides a denominator of A, B,
+    R, S or W, or the divisor's image is zero at its degree bound
     max(i deg R + (m - i) deg S over b_i != 0) + deg W + max(-e,0) deg S.
     That bound is the exact degree unless deg R == deg S and the top terms
-    of B~ cancel, and a coefficient with a nonzero image is nonzero: so a
-    nonzero image there fixes the exact degree and makes the division
-    commute with the map to F_p.
+    of B~ cancel; a nonzero image there fixes the exact degree, so the
+    division commutes with the map.
     """
     ring = ModularPolys(A.field)
     a, b = ring.image(A), ring.image(B)
     if a is None or b is None:
         return lambda r, s, w: None
     n, m = A.degree, B.degree
-    e = m - n + 2
+    # one constant per exact degree: the image of a top coefficient may vanish
+    a = [a[i:i + 1] for i in range(n + 1)] or [a]
+    b = [b[i:i + 1] for i in range(m + 1)]
     d = len(B.nums) // (m + 1)
     support = [i for i in range(m + 1) if any(B.nums[i * d:(i + 1) * d])]
-
-    def homogenized(img, deg, r, s):
-        # Horner from the top: acc = acc*R + c_i*S^(deg-i)
-        acc, spow = [], [1]
-        for i in range(deg, -1, -1):
-            acc = ring.mul(acc, r, img[i:i + 1], spow)
-            if i and s != [1]:
-                spow = ring.mul(spow, s)
-        return acc
+    s_shift = max(n - m - 2, 0)
 
     def test(r, s, w):
         ri, si, wi = ring.image(r), ring.image(s), ring.image(w)
         if ri is None or si is None or wi is None:
             return None
-        bound = max(i * r.degree + (m - i) * s.degree for i in support) + w.degree
-        divisor = ring.mul(homogenized(b, m, ri, si), wi)
-        for _ in range(-e):
-            divisor = ring.mul(divisor, si)
-            bound += s.degree
-        if len(divisor) != bound + 1:
+        dividend, divisor = homogenized_pair(a, b, ri, si, wi, 2, ring)
+        bound = max(i * r.degree + (m - i) * s.degree for i in support)
+        if len(divisor) != bound + w.degree + s_shift * s.degree + 1:
             return None
-        dividend = homogenized(a, n, ri, si)
-        for _ in range(e):
-            dividend = ring.mul(dividend, si)
         return bool(ring.remainder(dividend, divisor))
 
     return test
 
 
 def _presentation_rule(A, B, r, s, w):
-    """The rule P = f(R/S) S^2 / W for f = A/B, or None when it is not a polynomial.
-
-    f(R/S) S^2 = N/D in lowest terms, so P is a polynomial exactly when
-    D*W divides N; the degrees rule most candidates out before dividing.
-    """
-    cleared = substitute_cleared(A, B, r, s, d=2)
-    num, den = cleared.num, cleared.den
-    if not num.is_zero() and num.degree < den.degree + w.degree:
-        return None
-    p, rem = divmod(num, den * w)
+    """The rule P = f(R/S) S^2 / W for f = A/B, or None when it is not a polynomial."""
+    a, b = A.coefficient_polys(), B.coefficient_polys()
+    dividend, divisor = homogenized_pair(a, b, r, s, w, 2, operator)
+    p, rem = divmod(dividend, divisor)
     return p if rem.is_zero() else None
 
 

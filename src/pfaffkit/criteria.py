@@ -32,6 +32,7 @@ from .diffalg import (
     DiffPoly,
     DiffRatFunc,
     from_unipoly,
+    renamed,
     riccati_reduce,
     sole_variable,
     to_unipoly,
@@ -346,20 +347,13 @@ def classify_order_one(f, factored=None, degree_bound=3, candidates=()):
     f = f if isinstance(f, DiffRatFunc) else DiffRatFunc.from_poly(f)
     base = f.base
     name = sole_variable(f, default="y")
+    f = renamed(f, name, name)
 
-    rational_chain = PfaffianChain(
-        base,
-        "rational",
-        (f.substitute({name: DiffRatFunc.from_poly(DiffPoly.var(base, ("y1",), "y1"))}),),
-        ("y1",),
-    ).validate()
+    rational_chain = PfaffianChain(base, "rational", (renamed(f, name, "y1"),), ("y1",)).validate()
     noeth = rational_to_noetherian(f.num, f.den)
     identity = DiffRatFunc.from_poly(DiffPoly.var(base, (name,), name))
     back = verify_backward(f, [identity], rational_chain)
-    inv_q = DiffRatFunc(
-        DiffPoly.const(base, (name,), 1),
-        f.den if f.den.variables == (name,) else f.den.extend((name,)),
-    )
+    inv_q = DiffRatFunc(DiffPoly.const(base, (name,), 1), f.den)
     back2 = verify_backward(f, [identity, inv_q], noeth)
     if not (back.ok and back2.ok):
         from .errors import InternalInvariant
@@ -375,10 +369,7 @@ def classify_order_one(f, factored=None, degree_bound=3, candidates=()):
     poly = f.as_polynomial()
     if poly is not None:
         variables = ("y1",)
-        if poly.is_constant():
-            rule = DiffPoly.const(base, variables, poly.constant_coefficient())
-        else:
-            rule = poly.substitute({name: DiffPoly.var(base, variables, "y1")})
+        rule = renamed(poly, name, "y1")
         chain = PfaffianChain(base, "polynomial", (rule,), variables).validate()
         element = DiffPoly.var(base, variables, "y1")
         pfaffian = yes(

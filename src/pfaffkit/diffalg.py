@@ -31,6 +31,7 @@ never mutates, so concurrent use needs no coordination.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,6 +49,7 @@ from .exactfield import (
     UniPoly,
     dense_divmod,
     dense_gcd,
+    homogenized_pair,
     monomial_str,
     not_single_factor,
     poly_gcd,
@@ -642,6 +644,23 @@ def sole_variable(f, default=None):
     return f.variables[0] if f.variables else default
 
 
+def renamed(f, name, new):
+    """``f``, a DiffPoly or DiffRatFunc using no variable but ``name``, in the ring ``(new,)``.
+
+    The exponents of ``name`` carry over as they are.  A rename is a ring
+    isomorphism, so the sides of a fraction stay in lowest terms and are
+    not reduced again.
+    """
+    i = f.variables.index(name) if f.variables else None
+
+    def move(p):
+        return DiffPoly(p.base, (new,), {(e[i] if e else 0,): c for e, c in p.terms.items()})
+
+    if isinstance(f, DiffPoly):
+        return move(f)
+    return DiffRatFunc._reduced(move(f.num), move(f.den))
+
+
 def univar_dense(p, name):
     """Coefficient list (lowest first) of a DiffPoly univariate in ``name``."""
     i = p._var_index(name)
@@ -845,38 +864,15 @@ def substitute(f, h):
 
 
 def substitute_cleared(f_num, f_den, r, s, d=2):
-    """The cleared composition f(R/S) * S^d as a reduced rational function.
+    """f(R/S) S^d as a reduced rational function: ``homogenized_pair`` with W = 1.
 
-    ``f_num``/``f_den`` and ``r``/``s`` are UniPoly over one field; the
-    caller picks the clearing power ``d``.  With d = 2 this is the form
-    whose polynomiality a one-rule chain presentation needs: writing the
-    result as N/D, the rule f(R/S) * S^2 / W is a polynomial exactly when
-    D*W divides N.  The powers of ``r`` and ``s`` are tabulated once per
-    call.
+    ``f_num``/``f_den`` and ``r``/``s`` are UniPoly over one field.
     """
     if f_den.is_zero():
         raise DivisionByZero("f has a zero denominator")
-    top = max(f_num.degree, f_den.degree, 0)
-    rpow = [UniPoly.const(1, r.field)]
-    spow = [UniPoly.const(1, r.field)]
-    for _ in range(top):
-        rpow.append(rpow[-1] * r)
-        spow.append(spow[-1] * s)
-
-    def homog(a):
-        deg = max(a.degree, 0)
-        out = UniPoly.zero(r.field)
-        for i, c in enumerate(a.coeffs):
-            if not c.is_zero():
-                out = out + rpow[i] * spow[deg - i] * c
-        return out
-
-    atilde = homog(f_num)
-    btilde = homog(f_den)
-    e = f_den.degree - f_num.degree + d
-    if e >= 0:
-        return RatFunc(atilde * s ** e, btilde)
-    return RatFunc(atilde, btilde * s ** (-e))
+    one = UniPoly.const(1, r.field)
+    return RatFunc(*homogenized_pair(
+        f_num.coefficient_polys(), f_den.coefficient_polys(), r, s, one, d, operator))
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,12 @@ remainder: ``image`` refuses a polynomial whose denominators p divides,
 and a remainder counts only for a divisor whose leading coefficient has
 a nonzero image.
 
-Every ring in the package shares two things written here: ``power``,
-the one square-and-multiply loop, and the printer.  ``signed_sum`` joins
-signed terms, ``product_str`` renders coefficient times monomial, and
-``ratio_str`` a quotient, for scalars, ``UniPoly`` and ``diffalg`` alike.
+Every ring in the package shares what is written here: ``power``, the
+one square-and-multiply loop; ``homogenized_pair``, the presentation
+rule's pair, for ``UniPoly`` and its images in F_p alike; and the
+printer.  ``signed_sum`` joins signed terms, ``product_str`` renders
+coefficient times monomial, and ``ratio_str`` a quotient, for scalars,
+``UniPoly`` and ``diffalg`` alike.
 
 Only simple extensions are supported (one generator, no towers), which
 covers every concrete irrationality condition the verdict engine needs.
@@ -127,7 +129,7 @@ def _over_common_denominator(cs):
 
 
 # ---------------------------------------------------------------------------
-# shared by every ring: powers and printing
+# shared by every ring: powers, the homogenized pair and printing
 
 def power(one, base, n):
     """``base**n`` for an int ``n >= 0`` by square-and-multiply, starting from ``one``."""
@@ -139,6 +141,37 @@ def power(one, base, n):
         if n:
             base = base * base
     return out
+
+
+def homogenized_pair(a, b, r, s, w, d, ring):
+    """f(R/S) S^d / W for f = A/B as the unreduced pair (A~ S^max(e,0), B~ W S^max(-e,0)).
+
+    With n = deg A, m = deg B and e = m - n + d, A~ = sum a_i R^i S^(n-i)
+    and B~ likewise, so the fraction is a polynomial exactly when the
+    second entry divides the first.  ``a`` and ``b`` hold the coefficients
+    of A and B as constants of the ring, lowest degree first, n + 1 and
+    m + 1 of them; ``ring.mul`` and ``ring.add`` are its product and sum:
+    the ``operator`` module for ``UniPoly``, a ``ModularPolys`` for images
+    in F_p.
+    """
+    mul, add = ring.mul, ring.add
+
+    def homogenized(cs):
+        # Horner from the top: acc = acc*R + c_i*S^(deg-i)
+        acc, spow = cs[-1], s
+        for i in range(len(cs) - 2, -1, -1):
+            acc = add(mul(acc, r), mul(cs[i], spow))
+            if i:
+                spow = mul(spow, s)
+        return acc
+
+    x, y = homogenized(a), mul(homogenized(b), w)
+    e = len(b) - len(a) + d
+    for _ in range(e):
+        x = mul(x, s)
+    for _ in range(-e):
+        y = mul(y, s)
+    return x, y
 
 
 def monomial_str(names, exponents):
@@ -936,6 +969,10 @@ class UniPoly:
     def x(field=None):
         return UniPoly(field, (0, 1))
 
+    def coefficient_polys(self):
+        """The coefficients as constant polynomials, lowest degree first; ``[self]`` for zero."""
+        return [UniPoly(self.field, (c,)) for c in self.coeffs] or [self]
+
     @staticmethod
     def from_roots(roots, field=None, leading=1):
         if roots and field is None:
@@ -1381,17 +1418,19 @@ class ModularPolys:
         return _trim_blocks(
             [sum(n * w for n, w in zip(nums[i:i + d], ws)) % p for i in range(0, len(nums), d)], 1)
 
-    def mul(self, a, b, c=(), e=()):
-        """The image of ``a*b + c*e``."""
-        out = _nums_mul(a, b, None)[0] if a and b else []
-        if c and e:
-            t = _nums_mul(c, e, None)[0]
-            if len(t) > len(out):
-                out, t = t, out
-            for i, x in enumerate(t):
-                out[i] += x
+    def mul(self, a, b):
+        """The image of ``a*b``."""
+        if not (a and b):
+            return []
         p = self.p
-        return _trim_blocks([x % p for x in out], 1)
+        return _trim_blocks([x % p for x in _nums_mul(a, b, None)[0]], 1)
+
+    def add(self, a, b):
+        """The image of ``a + b``."""
+        if len(a) < len(b):
+            a, b = b, a
+        p = self.p
+        return _trim_blocks([(x + y) % p for x, y in zip(a, b)] + a[len(b):], 1)
 
     def remainder(self, a, m):
         """The remainder of ``a`` divided by the nonzero image ``m``."""

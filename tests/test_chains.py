@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import pfaffkit as pk
 import pfaffkit.chains as chains
+import pfaffkit.diffalg as diffalg
 import pfaffkit.exactfield as exactfield
 from pfaffkit.chains import (
     PfaffianChain,
@@ -483,9 +484,9 @@ class TestSearchPresentation:
             if cert is not None:
                 assert verify_forward(cert.chain, cert.element, f).ok
 
-    def test_exact_division_rule_matches_reduced_quotient(self, sqrt2):
-        # the search accepts a candidate when D*W divides N for the cleared
-        # form N/D; the reference reduces N/(D*W) as a rational function
+    def test_exact_division_rule_matches_reduced_quotient(self):
+        # the search divides the unreduced pair of homogenized_pair; the
+        # reference reduces f(h) S^2 / W as a rational function
         def reference_rule(A, B, r, s, w):
             one = pk.UniPoly.const(1, A.field)
             quot = substitute_cleared(A, B, r, s, d=2) / RatFunc(w, one)
@@ -493,7 +494,7 @@ class TestSearchPresentation:
                 return None
             return quot.num * quot.den.constant_value().inverse()
 
-        for field in (None, sqrt2):
+        for field in FILTER_FIELDS.values():
             rng = random.Random(31)
             x = pk.UniPoly.x(field)
             for k in range(40):
@@ -523,6 +524,41 @@ class TestSearchPresentation:
                         continue
                     assert _presentation_rule(A, B, r2, s2, w2) == reference_rule(A, B, r2, s2, w2)
 
+    def test_exact_rule_builds_no_fraction_and_runs_no_gcd(self, monkeypatch):
+        # count inside _presentation_rule only, with the modular test off so
+        # that every catalog candidate reaches it
+        inside, counts = [], {"rule": 0, "RatFunc": 0, "gcd": 0}
+
+        def counting(key, real):
+            def counted(*args):
+                if inside:
+                    counts[key] += 1
+                return real(*args)
+            return counted
+
+        monkeypatch.setattr(RatFunc, "__init__", counting("RatFunc", RatFunc.__init__))
+        for module in (exactfield, diffalg, chains):
+            for gcd in ("poly_gcd", "dense_gcd"):
+                if hasattr(module, gcd):
+                    monkeypatch.setattr(module, gcd, counting("gcd", getattr(module, gcd)))
+        real_rule = chains._presentation_rule
+
+        def rule(*args):
+            counts["rule"] += 1
+            inside.append(True)
+            try:
+                return real_rule(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(chains, "_presentation_rule", rule)
+        monkeypatch.setattr(chains, "_modular_test", lambda A, B: lambda r, s, w: None)
+        from pfaffkit.parser import parse_ode_text
+
+        f = parse_ode_text("y' = (y - r)*(y + 1)/(y*(y - 2)) over Q(r: r^2-2)").f
+        assert search_presentation(f) is None
+        assert counts["rule"] > 20 and counts["RatFunc"] == counts["gcd"] == 0
+
 
 
 # fields of the filter properties: Q, two integral fields, and one whose
@@ -542,15 +578,15 @@ def with_w(r, s):
     return r, s, r.derivative() * s - r * s.derivative()
 
 
-def counting_substitute_cleared(monkeypatch):
+def counting_presentation_rule(monkeypatch):
     calls = []
-    real = chains.substitute_cleared
+    real = chains._presentation_rule
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(chains, "substitute_cleared", counted)
+    monkeypatch.setattr(chains, "_presentation_rule", counted)
     return calls
 
 
@@ -682,7 +718,7 @@ class TestModularFilter:
     @pytest.mark.parametrize("n", [9, 120])
     def test_degree_sweep_inputs_never_reach_the_exact_rule(self, n, monkeypatch):
         argv = ["classify-ode", f"y' = (y-1)^{n}/(y*(y-1/3))"]
-        calls = counting_substitute_cleared(monkeypatch)
+        calls = counting_presentation_rule(monkeypatch)
         doc, code = run(argv)
         assert code == 0 and calls == []
         assert doc["verdicts"]["pfaffian"] == "unknown"

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 import pfaffkit as pk
 from pfaffkit.chains import search_presentation, verify_backward, verify_forward
+from pfaffkit.cli import _certificates_of
 from pfaffkit.criteria import (
     FactoredRatFunc,
     classify_linear,
@@ -316,6 +318,46 @@ class TestClassifyOrderOne:
         v = classify_order_one(spec.f)
         assert v.pfaffian.value == "unknown"
         assert "factorization" in v.pfaffian.reason
+
+    @pytest.mark.parametrize("defining", ["r^2-2", "r^3-2"])
+    def test_cube_of_a_fraction_over_a_number_field_and_t_finishes(self, defining):
+        # moving f to the chain variable renames it; reducing the renamed
+        # fraction again ran the K(t) gcd over Q(r), which did not finish
+        rhs = "(((((y*t-r)+y)/((y-1)*y))+((r+0)*((y-1)*1))))^3"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pfaffkit.cli", "classify-ode",
+             f"y' = {rhs} over Q(r: {defining})"],
+            capture_output=True, text=True, check=False, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert json.loads(proc.stdout)["verdicts"]["rationally_pfaffian"] == "yes"
+
+    @pytest.mark.parametrize("text", [
+        "y' = y^2 + t*y",
+        "y' = 3*y - 1",
+        "y' = 1/(2*y)",
+        "y' = (y^2-2)/y",
+        "y' = (y-2)*(y-3)/(y*(y-1))",
+        "y' = (y-2)*(y-(1+r))/(y*(y-1)) over Q(r: r^2-2)",
+        "y' = (y^2+t)/y",
+    ])
+    @pytest.mark.parametrize("ring", [("y", "z"), ("x", "y")])
+    def test_a_larger_ring_gives_the_same_verdicts_and_certificates(self, text, ring):
+        # f uses only y; before the rename its ring reached the noetherian
+        # system, whose extend raised ValueError for the unused variable
+        f = ode_f(text).f
+        wide = DiffRatFunc(f.num.extend(ring), f.den.extend(ring))
+
+        def report(v):
+            return (
+                [(tv.value, tv.reason, tv.witness) for tv in (v.pfaffian, v.rationally_pfaffian)],
+                _certificates_of(v),
+            )
+
+        assert report(classify_order_one(wide)) == report(classify_order_one(f))
+        if f.as_polynomial() is not None:
+            poly = f.num
+            assert report(classify_order_one(poly.extend(ring))) == report(classify_order_one(poly))
 
 
 class TestExtractFactored:
