@@ -8,9 +8,10 @@ chain, a multiplicative inverse appends exactly one variable.
 
 Certificates are never trusted: ``verify_forward`` recomputes the
 derivative of the candidate element through the chain rules and
-``verify_backward`` differentiates candidate assignments through a
-defining equation.  Both reduce to exact cross-multiplied polynomial
-identities.
+``verify_backward`` differentiates candidate assignments through the one
+rule of a defining equation.  Both take that derivative from
+``_derive_pair`` and decide it with one cross-multiplied polynomial
+identity, ``_compare``.
 
 The presentation search decides each candidate by one exact division
 of the pair ``exactfield.homogenized_pair`` builds; in front of it, the
@@ -39,9 +40,7 @@ from .diffalg import (
     as_pair,
     cleared_pair,
     from_unipoly,
-    pair_add,
-    pair_mul,
-    pair_sub,
+    renamed,
     sole_variable,
     to_unipoly,
 )
@@ -180,7 +179,7 @@ def total_derivative(e):
     """D(e) as an element of the same chain; never extends the chain."""
     if e.chain.kind != "polynomial":
         raise MixedKinds("derivative closure is defined for polynomial chains only")
-    num, den = _derive_pair(e.chain, e.expr)
+    num, den = _derive_pair(zip(e.chain.variables, e.chain.rules), e.expr)
     return ChainElement(e.chain, num if isinstance(e.expr, DiffPoly) else DiffRatFunc(num, den))
 
 
@@ -209,8 +208,9 @@ def invert_element(e):
 def rational_to_noetherian(p, q):
     """Noetherian system for y' = P(y)/Q(y) via the auxiliary w = 1/Q(y).
 
-    ``p`` and ``q`` are univariate DiffPoly in the equation variable;
-    the system's rules are polynomial in (y, w):
+    ``p`` and ``q`` are DiffPoly of one ring that use at most one
+    variable, the equation variable; the system's rules are polynomial
+    in (y, w):
 
         y' = w * P(y)
         w' = -w^3 * P(y) * dQ/dy (y) - w^2 * Q^delta(y)
@@ -218,10 +218,10 @@ def rational_to_noetherian(p, q):
     if q.is_zero():
         raise ZeroDenominator("Q must be nonzero")
     base = p.base
-    yname = p.variables[0] if p.variables else "y"
+    # a nonzero product uses every variable that either side uses
+    yname = sole_variable(q if p.is_zero() else p * q, default="y")
     variables = (yname, "w")
-    P = p.extend(variables) if p.variables else DiffPoly.const(base, variables, p.constant_coefficient())
-    Q = q.extend(variables) if q.variables else DiffPoly.const(base, variables, q.constant_coefficient())
+    P, Q = (renamed(x, yname, yname).extend(variables) for x in (p, q))
     w = DiffPoly.var(base, variables, "w")
     qprime = Q.partial(yname)
     qdelta = Q.coeff_derivation()
@@ -240,40 +240,53 @@ class VerifyResult:
         return self.ok
 
 
-def _pair_eq(a, b):
-    return (a[0] * b[1] - b[0] * a[1]).is_zero()
+def _derive_pair(rules, expr):
+    """D(expr) through the rules v' = n_v/e_v, given as (v, rule) pairs, as one unreduced pair.
 
+    For expr = N/D (D = 1 for a polynomial), with W_v = N_v D - N D_v
+    (N_v the partial derivative in v) and W_delta the same with the
+    coefficient derivation,
 
-def _pair_witness(a, b):
-    num = a[0] * b[1] - b[0] * a[1]
-    den = a[1] * b[1]
-    return DiffRatFunc(num, den)
+        D(N/D) = (W_delta E + sum_v W_v n_v E/e_v) / (E D^2),
 
-
-def _derive_pair(chain, expr):
-    """D(expr) through the chain rules as one unreduced pair.
-
-    D(p) = sum_i (dp/dy_i) P_i + p^delta for a polynomial p, and the
-    quotient rule for a fraction N/D.
+    E the product of the e_v other than 1.  A polynomial takes W_v = N_v
+    and no D^2.
     """
-    rule_pairs = [as_pair(r) for r in chain.rules]
+    N, D = as_pair(expr)
+    poly = isinstance(expr, DiffPoly)
 
-    def derive_poly(p):
-        one = DiffPoly.const(p.base, p.variables, 1)
-        acc = (p.coeff_derivation(), one)
-        for v, rp in zip(chain.variables, rule_pairs):
-            part = p.partial(v)
-            if part.is_zero():
-                continue
-            acc = pair_add(acc, pair_mul((part, one), rp))
-        return acc
+    def quotient_rule(dn, dd):
+        return dn if poly else dn * D - N * dd
 
-    if isinstance(expr, DiffPoly):
-        return derive_poly(expr)
-    N, D = expr.num, expr.den
-    one = DiffPoly.const(N.base, N.variables, 1)
-    num = pair_sub(pair_mul(derive_poly(N), (D, one)), pair_mul((N, one), derive_poly(D)))
-    return num[0], num[1] * D * D
+    dn, dd = N.coeff_derivation(), D.coeff_derivation()
+    # W_delta is left out when both derivatives are zero, as over constants
+    num = dn if dn.is_zero() and dd.is_zero() else quotient_rule(dn, dd)
+    E = None
+    for v, rule in rules:
+        wv = quotient_rule(N.partial(v), D.partial(v))
+        if wv.is_zero():
+            continue
+        n, e = as_pair(rule)
+        term = wv * n if E is None else wv * n * E
+        if not e.is_constant():
+            num, E = num * e, e if E is None else E * e
+        num = term if num.is_zero() else num + term
+    den = D if poly else D * D
+    return num, den if E is None else E * den
+
+
+def _compare(lhs, rhs, index, undefined):
+    """The verdict on lhs = rhs for two pairs, from one cross-multiplied difference.
+
+    A zero rhs denominator fails with the witness ``undefined``; a nonzero
+    difference fails with it over the product of the denominators.
+    """
+    if rhs[1].is_zero():
+        return VerifyResult(False, index, undefined)
+    diff = lhs[0] * rhs[1] - rhs[0] * lhs[1]
+    if diff.is_zero():
+        return VerifyResult(True)
+    return VerifyResult(False, index, DiffRatFunc(diff, lhs[1] * rhs[1]))
 
 
 def verify_forward(chain, element, f):
@@ -285,23 +298,19 @@ def verify_forward(chain, element, f):
     """
     chain.validate()
     expr = element.expr if isinstance(element, ChainElement) else element
-    lhs = _derive_pair(chain, expr)
+    lhs = _derive_pair(zip(chain.variables, chain.rules), expr)
     # a constant f substitutes nothing, but the element's pair still gives
     # the ring to evaluate in
     rhs = cleared_pair(f, {sole_variable(f): as_pair(expr)})
-    if rhs[1].is_zero():
-        return VerifyResult(False, witness="f is undefined at the element")
-    if _pair_eq(lhs, rhs):
-        return VerifyResult(True)
-    return VerifyResult(False, witness=_pair_witness(lhs, rhs))
+    return _compare(lhs, rhs, None, "f is undefined at the element")
 
 
 def verify_backward(g, assignments, system):
     """Check assignments h_i(w) against a system, where w' = g(w).
 
-    For every rule the derivative of h_i computed through the defining
-    equation (chain rule plus coefficient derivation) must equal
-    P_i(h_1..h_n) as an identity of univariate rational functions.
+    For every rule the derivative of h_i through the one rule w' = g(w)
+    must equal P_i(h_1..h_n) as an identity of univariate rational
+    functions.
     """
     rules = system.rules
     if len(assignments) != len(rules):
@@ -310,22 +319,15 @@ def verify_backward(g, assignments, system):
         )
     # a constant defining equation in no ring: any ring carrying the
     # assignments works
-    wname = sole_variable(g, default="w")
-    g_pair = as_pair(g)
-    h_pairs = [as_pair(h) for h in assignments]
-    pairs = dict(zip(system.variables, h_pairs))
-    for i, rule in enumerate(rules):
-        N, D = h_pairs[i]
-        dN, dD = N.partial(wname), D.partial(wname)
-        h_prime = (dN * D - N * dD, D * D)
-        lhs = pair_mul(h_prime, g_pair)
-        # the coefficient derivation vanishes over constants
-        delta = N.coeff_derivation() * D - N * D.coeff_derivation()
-        if not delta.is_zero():
-            lhs = pair_add(lhs, (delta, D * D))
-        rhs = cleared_pair(rule, pairs)
-        if not _pair_eq(lhs, rhs):
-            return VerifyResult(False, index=i + 1, witness=_pair_witness(lhs, rhs))
+    defining = [(sole_variable(g, default="w"), g)]
+    pairs = {v: as_pair(h) for v, h in zip(system.variables, assignments)}
+    for i, (h, rule) in enumerate(zip(assignments, rules), 1):
+        result = _compare(
+            _derive_pair(defining, h), cleared_pair(rule, pairs), i,
+            f"rule {i} is undefined at the assignments",
+        )
+        if not result.ok:
+            return result
     return VerifyResult(True)
 
 

@@ -19,9 +19,8 @@ ArityMismatch when it uses several.
 
 Substitution has one engine: ``cleared_pair`` evaluates a differential
 polynomial or fraction at (numerator, denominator) pairs and returns one
-unreduced pair, and ``as_pair``, ``pair_add``, ``pair_sub`` and
-``pair_mul`` do arithmetic on such pairs without any gcd.  Each caller
-reduces once at the end: ``DiffPoly.substitute`` and
+unreduced pair, without any gcd; ``as_pair`` gives a value as such a
+pair.  Each caller reduces once at the end: ``DiffPoly.substitute`` and
 ``DiffRatFunc.substitute`` build a single ``DiffRatFunc``, and the chain
 verifiers in ``chains`` decide their identities by cross multiplication.
 
@@ -748,18 +747,6 @@ def as_pair(value):
     if isinstance(value, DiffRatFunc):
         return value.num, value.den
     return value, DiffPoly.const(value.base, value.variables, 1)
-
-
-def pair_add(a, b):
-    return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
-
-
-def pair_sub(a, b):
-    return a[0] * b[1] - b[0] * a[1], a[1] * b[1]
-
-
-def pair_mul(a, b):
-    return a[0] * b[0], a[1] * b[1]
 
 
 def cleared_pair(value, pairs):

@@ -376,7 +376,7 @@ def _integer_roots(g):
     p = 1
     while True:
         p += 1
-        if any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+        if not _is_prime(p):
             continue
         gp = [c % p for c in g]
         roots = [r for r in range(p) if _integer_eval(gp, r) % p == 0]

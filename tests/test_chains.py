@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from pfaffkit.errors import (
     ZeroDenominator,
     ZeroElement,
 )
+from pfaffkit.parser import parse_fixture_text
 
 from conftest import (
     rand_diffpoly,
@@ -46,6 +48,7 @@ from conftest import (
 C = BaseDiffField.constants()
 Kt = BaseDiffField.rational_functions(var="t")
 Kz = BaseDiffField.rational_functions(var="z")
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def poly_chain(base, rules, names=None):
@@ -321,6 +324,15 @@ class TestNoetherianize:
         assert ns.rules[0] == w * Pe
         assert ns.rules[1] == -(w ** 3) * Pe * (2 * ye - 1)
 
+    @pytest.mark.parametrize("ring", [("y", "z"), ("x", "y")])
+    def test_a_wider_ring_gives_the_one_variable_system(self, ring):
+        y = DiffPoly.var(C, ring, "y")
+        ns = rational_to_noetherian(y + 1, y * y)
+        assert ns.variables == ("y", "w")
+        assert ns.serialize() == ["y' = y*w + w", "w' = -2*y^2*w^3 - 2*y*w^3"]
+        y1 = DiffPoly.var(C, ("y",), "y")
+        assert ns == rational_to_noetherian(y1 + 1, y1 * y1)
+
     def test_zero_denominator_rejected(self):
         yv = DiffPoly.var(C, ("y",), "y")
         with pytest.raises(ZeroDenominator):
@@ -416,6 +428,227 @@ class TestVerifyBackward:
         g, hs, chain = lambert_data()
         with pytest.raises(ArityMismatch):
             verify_backward(g, hs[:1], chain)
+
+    def test_rule_undefined_at_the_assignments(self):
+        text = (FIXTURES / "undefined_rule_backward.pfaff").read_text(encoding="utf-8")
+        fx = parse_fixture_text(text)
+        r = verify_backward(fx.defining, list(fx.assignments), fx.chain)
+        assert not r.ok and r.index == 1
+        assert r.witness == "rule 1 is undefined at the assignments"
+
+    def test_only_the_undefined_rule_fails(self):
+        w = DiffPoly.var(C, ("w",), "w")
+        names = ("y1", "y2")
+        y1 = DiffPoly.var(C, names, "y1")
+        y2 = DiffPoly.var(C, names, "y2")
+        one = DiffPoly.const(C, names, 1)
+        chain = PfaffianChain(
+            C, "rational", (DiffRatFunc.from_poly(one), DiffRatFunc(one, y2 - y1)), names
+        ).validate()
+        g = DiffRatFunc.from_poly(DiffPoly.const(C, ("w",), 1))
+        r = verify_backward(g, [DiffRatFunc.from_poly(w), DiffRatFunc.from_poly(w)], chain)
+        assert not r.ok and r.index == 2
+        assert r.witness == "rule 2 is undefined at the assignments"
+
+
+# Test-only copies of the verifiers before both took their derivative from
+# ``_derive_pair(rules, expr)`` and their verdict from ``_compare``: the
+# pair-based derivative through a chain, and the hand-written chain rule,
+# quotient rule and coefficient derivation of the backward check.
+def ref_pair_add(a, b):
+    return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
+
+
+def ref_pair_sub(a, b):
+    return a[0] * b[1] - b[0] * a[1], a[1] * b[1]
+
+
+def ref_pair_mul(a, b):
+    return a[0] * b[0], a[1] * b[1]
+
+
+def ref_pair_witness(a, b):
+    return DiffRatFunc(a[0] * b[1] - b[0] * a[1], a[1] * b[1])
+
+
+def ref_derive_pair(chain, expr):
+    rule_pairs = [diffalg.as_pair(r) for r in chain.rules]
+
+    def derive_poly(p):
+        one = DiffPoly.const(p.base, p.variables, 1)
+        acc = (p.coeff_derivation(), one)
+        for v, rp in zip(chain.variables, rule_pairs):
+            part = p.partial(v)
+            if part.is_zero():
+                continue
+            acc = ref_pair_add(acc, ref_pair_mul((part, one), rp))
+        return acc
+
+    if isinstance(expr, DiffPoly):
+        return derive_poly(expr)
+    N, D = expr.num, expr.den
+    one = DiffPoly.const(N.base, N.variables, 1)
+    num = ref_pair_sub(ref_pair_mul(derive_poly(N), (D, one)), ref_pair_mul((N, one), derive_poly(D)))
+    return num[0], num[1] * D * D
+
+
+def ref_verify_forward(chain, expr, f):
+    lhs = ref_derive_pair(chain, expr)
+    rhs = diffalg.cleared_pair(f, {diffalg.sole_variable(f): diffalg.as_pair(expr)})
+    if rhs[1].is_zero():
+        return chains.VerifyResult(False, witness="f is undefined at the element")
+    if (lhs[0] * rhs[1] - rhs[0] * lhs[1]).is_zero():
+        return chains.VerifyResult(True)
+    return chains.VerifyResult(False, witness=ref_pair_witness(lhs, rhs))
+
+
+def ref_verify_backward(g, assignments, system):
+    wname = diffalg.sole_variable(g, default="w")
+    g_pair = diffalg.as_pair(g)
+    h_pairs = [diffalg.as_pair(h) for h in assignments]
+    pairs = dict(zip(system.variables, h_pairs))
+    for i, rule in enumerate(system.rules):
+        N, D = h_pairs[i]
+        dN, dD = N.partial(wname), D.partial(wname)
+        h_prime = (dN * D - N * dD, D * D)
+        lhs = ref_pair_mul(h_prime, g_pair)
+        delta = N.coeff_derivation() * D - N * D.coeff_derivation()
+        if not delta.is_zero():
+            lhs = ref_pair_add(lhs, (delta, D * D))
+        rhs = diffalg.cleared_pair(rule, pairs)
+        if not (lhs[0] * rhs[1] - rhs[0] * lhs[1]).is_zero():
+            return chains.VerifyResult(False, index=i + 1, witness=ref_pair_witness(lhs, rhs))
+    return chains.VerifyResult(True)
+
+
+def lambert_corruption_texts():
+    """The Lambert fixture and every single-sign flip of its body."""
+    text = (FIXTURES / "lambert_backward.pfaff").read_text(encoding="utf-8")
+    body = "\n".join(ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#"))
+    flips = {"-": "+", "+": "-"}
+    return [body] + [body[:i] + flips[ch] + body[i + 1:] for i, ch in enumerate(body) if ch in flips]
+
+
+def round_trip(P, Q):
+    """verify_backward arguments for y' = P/Q and its Noetherian system in (y, w)."""
+    w = DiffPoly.var(P.base, ("w",), "w")
+    Pw = DiffRatFunc.from_poly(P.substitute({"y": w}))
+    Qw = DiffRatFunc.from_poly(Q.substitute({"y": w}))
+    return Pw / Qw, [DiffRatFunc.from_poly(w), 1 / Qw], rational_to_noetherian(P, Q)
+
+
+def bump_one_coefficient(rng, system):
+    """``system`` with 1 added to one coefficient of one rule (a new term if the rule is zero)."""
+    rules = list(system.rules)
+    k = rng.randrange(len(rules))
+    rule = rules[k]
+    if rule.is_zero():
+        rules[k] = rule + 1
+    else:
+        expo = rng.choice(sorted(rule.terms))
+        rules[k] = rule + DiffPoly(rule.base, rule.variables, {expo: rule.base.one()})
+    return chains.NoetherianSystem(system.base, rules, system.variables)
+
+
+def same_result(new, ref):
+    assert (new.ok, new.index) == (ref.ok, ref.index)
+    assert str(new.witness) == str(ref.witness)
+
+
+class TestSharedDerivativeAgainstReference:
+    """Both verifiers against the copies of their code before the shared derivative."""
+
+    def test_lambert_fixture_and_its_sign_flips(self):
+        texts = lambert_corruption_texts()
+        assert len(texts) == 5
+        results = []
+        for text in texts:
+            fx = parse_fixture_text(text)
+            args = fx.defining, list(fx.assignments), fx.chain
+            new, ref = verify_backward(*args), ref_verify_backward(*args)
+            same_result(new, ref)
+            results.append(new)
+        assert results[0].ok and not any(r.ok for r in results[1:])
+        assert len({str(r.witness) for r in results[1:]}) == 4
+
+    @pytest.mark.parametrize("which", ["Q", "Q(sqrt2)", "Q(t)"])
+    def test_noetherianize_round_trips(self, which, sqrt2):
+        base = {"Q": C, "Q(sqrt2)": BaseDiffField.constants(sqrt2), "Q(t)": Kt}[which]
+        rng = random.Random(f"round trips {which}")
+        passed = failed = 0
+        for _ in range(12 if base.var is None else 6):
+            P = rand_poly(rng, base, ("y",))
+            Q = rand_nonzero_poly(rng, base, ("y",))
+            g, hs, system = round_trip(P, Q)
+            for system in (system, bump_one_coefficient(rng, system)):
+                new, ref = verify_backward(g, hs, system), ref_verify_backward(g, hs, system)
+                same_result(new, ref)
+                passed += new.ok
+                failed += not new.ok
+        assert passed and failed
+
+    def rand_rational_chain(self, rng, base, names):
+        rules = []
+        for i in range(len(names)):
+            used = names[: i + 1]
+            num = rand_poly(rng, base, used)
+            den = rand_nonzero_poly(rng, base, used, max_deg=1)
+            rules.append(DiffRatFunc(num.extend(names), den.extend(names)))
+        return PfaffianChain(base, "rational", rules, names).validate()
+
+    def rand_f(self, rng, base):
+        return DiffRatFunc(rand_poly(rng, base, ("y",)), rand_nonzero_poly(rng, base, ("y",), max_deg=1))
+
+    def run_forward(self, rng, base, count):
+        for _ in range(count):
+            names = rng.choice((("y1",), ("y1", "y2")))
+            chain = TestDeriveThroughChain().rand_chain(rng, base, names)
+            p = rand_poly(rng, base, names)
+            f = self.rand_f(rng, base)
+            for e in (p, DiffRatFunc(p, rand_nonzero_poly(rng, base, names, max_deg=1))):
+                same_result(verify_forward(chain, e, f), ref_verify_forward(chain, e, f))
+            # a polynomial element on a two-variable rational chain
+            rational = self.rand_rational_chain(rng, base, ("y1", "y2"))
+            e = rand_poly(rng, base, ("y1", "y2"))
+            same_result(verify_forward(rational, e, f), ref_verify_forward(rational, e, f))
+            # a fraction on it: the same value, possibly fewer uncancelled factors
+            q = DiffRatFunc(e, rand_nonzero_poly(rng, base, ("y1", "y2"), max_deg=1))
+            new, ref = verify_forward(rational, q, f), ref_verify_forward(rational, q, f)
+            assert (new.ok, new.index) == (ref.ok, ref.index)
+            assert new.witness == ref.witness
+        # a chain and element that pass
+        y1 = DiffPoly.var(base, ("y1",), "y1")
+        rule = rand_poly(rng, base, ("y1",))
+        chain = poly_chain(base, (rule,))
+        f = DiffRatFunc.from_poly(rule.substitute({"y1": DiffPoly.var(base, ("y",), "y")}))
+        assert verify_forward(chain, y1, f).ok and ref_verify_forward(chain, y1, f).ok
+
+    def test_forward_over_q(self):
+        self.run_forward(random.Random(1401), C, 30)
+
+    def test_forward_over_qsqrt2(self, sqrt2):
+        self.run_forward(random.Random(1402), BaseDiffField.constants(sqrt2), 20)
+
+    def test_forward_over_kt(self):
+        self.run_forward(random.Random(1403), Kt, 12)
+
+    def test_a_fraction_on_a_rational_chain_has_fewer_factors(self):
+        names = ("y1", "y2")
+        y1 = DiffPoly.var(C, names, "y1")
+        y2 = DiffPoly.var(C, names, "y2")
+        one = DiffPoly.const(C, names, 1)
+        chain = PfaffianChain(
+            C, "rational", (DiffRatFunc(y1, y1 + 1), DiffRatFunc(one, y2 + 3)), names
+        ).validate()
+        element = DiffRatFunc(y1 + y2, y1 * y2 + 1)
+        yv = DiffPoly.var(C, ("y",), "y")
+        f = DiffRatFunc.from_poly(yv * yv)
+        new, ref = verify_forward(chain, element, f), ref_verify_forward(chain, element, f)
+        assert not new.ok and not ref.ok
+        assert new.witness == ref.witness
+        # the old pair arithmetic multiplied in (y1 + 1)(y2 + 3) twice
+        assert new.witness.den * (y1 + 1) * (y2 + 3) == ref.witness.den
+        assert str(new.witness) != str(ref.witness)
 
 
 class TestSearchPresentation:

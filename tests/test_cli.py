@@ -27,6 +27,7 @@ from pfaffkit.parser import (
 
 LAMBERT = "tests/fixtures/lambert_backward.pfaff"
 SQRT_FWD = "tests/fixtures/sqrt_shift_forward.pfaff"
+UNDEFINED_BWD = "tests/fixtures/undefined_rule_backward.pfaff"
 
 
 def invoke(*argv):
@@ -249,6 +250,12 @@ class TestCommands:
     def test_chain_verify_forward_fixture(self):
         doc, code = invoke("chain-verify", "--mode", "forward", SQRT_FWD)
         assert code == 0 and doc["result"] == "pass"
+
+    def test_chain_verify_backward_rule_undefined_at_the_assignments(self):
+        doc, code = invoke("chain-verify", "--mode", "backward", UNDEFINED_BWD)
+        assert code == 0
+        assert doc["result"] == "fail" and doc["rule_index"] == 1
+        assert doc["witness"] == "rule 1 is undefined at the assignments"
 
     def test_chain_verify_mode_mismatch(self):
         doc, code = invoke("chain-verify", "--mode", "forward", LAMBERT)
