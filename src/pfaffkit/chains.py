@@ -1,7 +1,9 @@
-"""Triangular chain certificates and their verification.
+"""Chain certificates and their verification.
 
-A chain is an ordered list of right-hand sides P_1..P_N with P_i a
-polynomial (or rational function) in y_1..y_i only; an element is a
+``PfaffianChain`` holds every rule system, checked when it is built, in
+one of three kinds: a polynomial or rational chain has right-hand sides
+P_1..P_N with P_i in y_1..y_i only; a Noetherian (unconstrained) system
+has polynomial rules that may use every variable.  An element is a
 (rational) expression in the chain variables.  Closure under the field
 operations and derivatives is constructive: derivatives stay inside the
 chain, a multiplicative inverse appends exactly one variable.
@@ -60,11 +62,13 @@ def _chain_vars(n):
 
 
 class PfaffianChain:
-    """Ordered rules y_i' = P_i(y_1..y_i) over a base differential field.
+    """Ordered rules v_i' = P_i over a base differential field, checked when built.
 
-    ``kind`` is ``"polynomial"`` or ``"rational"``; rules are DiffPoly
-    (resp. DiffRatFunc) in the full ring y1..yN.  Chains are immutable;
-    extension operations return new chains.
+    ``kind`` is ``"polynomial"`` (DiffPoly rules), ``"rational"`` (DiffPoly
+    or DiffRatFunc rules) or ``"noetherian"`` (DiffPoly rules that may use
+    every variable); the first two are triangular, P_i in v_1..v_i only.
+    Every rule lives in the ring ``variables``, one distinct variable per
+    rule.  Chains are immutable; extension operations return new chains.
     """
 
     __slots__ = ("base", "kind", "rules", "variables")
@@ -74,23 +78,36 @@ class PfaffianChain:
         self.kind = kind
         self.rules = tuple(rules)
         self.variables = tuple(variables) if variables is not None else _chain_vars(len(self.rules))
+        self.validate()
 
     @property
     def order(self):
         return len(self.rules)
 
     def validate(self):
-        if self.kind not in ("polynomial", "rational"):
-            raise MixedKinds(f"unknown chain kind {self.kind!r}")
-        for i, rule in enumerate(self.rules):
-            if self.kind == "polynomial" and not isinstance(rule, DiffPoly):
-                raise MixedKinds(f"rule {i + 1} is not polynomial")
-            if self.kind == "rational" and not isinstance(rule, (DiffPoly, DiffRatFunc)):
-                raise MixedKinds(f"rule {i + 1} has unsupported type")
+        """Raise MixedKinds, ArityMismatch or TriangularityViolated unless well formed.
+
+        Returns the chain.
+        """
+        kind, variables = self.kind, self.variables
+        if kind not in _RULE_TYPES:
+            raise MixedKinds(f"unknown chain kind {kind!r}")
+        if len(set(variables)) != len(variables) or len(variables) != len(self.rules):
+            raise ArityMismatch(
+                f"{len(self.rules)} rules need as many distinct variables, not {variables}"
+            )
+        types, unfit = _RULE_TYPES[kind]
+        for i, rule in enumerate(self.rules, 1):
+            if not isinstance(rule, types):
+                raise MixedKinds(unfit.format(i))
+            if rule.variables != variables:
+                raise ArityMismatch(f"rule {i} is not in the ring {variables}")
+            if kind == "noetherian":
+                continue
             for v in rule.used_variables():
-                j = self.variables.index(v)
+                j = variables.index(v) + 1
                 if j > i:
-                    raise TriangularityViolated(i + 1, j + 1)
+                    raise TriangularityViolated(i, j)
         return self
 
     def element(self, expr):
@@ -109,8 +126,19 @@ class PfaffianChain:
             and self.rules == other.rules
         )
 
+    def __hash__(self):
+        return hash((self.base, self.kind, self.variables, self.rules))
+
     def __repr__(self):
-        return f"<chain {'; '.join(self.serialize())}>"
+        return f"<{self.kind} chain {'; '.join(self.serialize())}>"
+
+
+# the rule types each kind admits, and the message for a rule of another type
+_RULE_TYPES = {
+    "polynomial": (DiffPoly, "rule {} is not polynomial"),
+    "rational": ((DiffPoly, DiffRatFunc), "rule {} has unsupported type"),
+    "noetherian": (DiffPoly, "rule {} of a Noetherian system must be polynomial"),
+}
 
 
 @dataclass(frozen=True)
@@ -124,43 +152,15 @@ class ChainElement:
         return str(self.expr)
 
 
-class NoetherianSystem:
-    """Like a chain but without triangularity: each rule may use all variables."""
-
-    __slots__ = ("base", "rules", "variables")
+class NoetherianSystem(PfaffianChain):
+    """A chain of kind ``"noetherian"``: each rule may use all variables."""
 
     def __init__(self, base, rules, variables=None):
-        self.base = base
-        self.rules = tuple(rules)
-        self.variables = tuple(variables) if variables is not None else _chain_vars(len(self.rules))
-        for i, rule in enumerate(self.rules):
-            if not isinstance(rule, DiffPoly):
-                raise MixedKinds(f"rule {i + 1} of a Noetherian system must be polynomial")
-
-    @property
-    def order(self):
-        return len(self.rules)
-
-    def serialize(self):
-        return [f"{v}' = {rule}" for v, rule in zip(self.variables, self.rules)]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NoetherianSystem)
-            and self.base == other.base
-            and self.variables == other.variables
-            and self.rules == other.rules
-        )
-
-    def __hash__(self):
-        return hash((self.base, self.variables, self.rules))
-
-    def __repr__(self):
-        return f"<noetherian {'; '.join(self.serialize())}>"
+        super().__init__(base, "noetherian", rules, variables)
 
 
 def chain_validate(c):
-    """Raise TriangularityViolated/MixedKinds unless ``c`` is well formed."""
+    """Raise MixedKinds, ArityMismatch or TriangularityViolated unless ``c`` is well formed."""
     return c.validate()
 
 
@@ -201,7 +201,7 @@ def invert_element(e):
         "polynomial",
         [r.extend(new_vars) for r in chain.rules] + [new_rule],
         new_vars,
-    ).validate()
+    )
     return extended, ChainElement(extended, z)
 
 
@@ -210,7 +210,7 @@ def rational_to_noetherian(p, q):
 
     ``p`` and ``q`` are DiffPoly of one ring that use at most one
     variable, the equation variable; the system's rules are polynomial
-    in (y, w):
+    in (y, w), with the auxiliary named v when the equation variable is w:
 
         y' = w * P(y)
         w' = -w^3 * P(y) * dQ/dy (y) - w^2 * Q^delta(y)
@@ -220,9 +220,9 @@ def rational_to_noetherian(p, q):
     base = p.base
     # a nonzero product uses every variable that either side uses
     yname = sole_variable(q if p.is_zero() else p * q, default="y")
-    variables = (yname, "w")
+    variables = (yname, "v" if yname == "w" else "w")
     P, Q = (renamed(x, yname, yname).extend(variables) for x in (p, q))
-    w = DiffPoly.var(base, variables, "w")
+    w = DiffPoly.var(base, variables, variables[1])
     qprime = Q.partial(yname)
     qdelta = Q.coeff_derivation()
     rule_y = w * P
@@ -296,7 +296,6 @@ def verify_forward(chain, element, f):
     univariate right-hand side of y' = f(y).  Failure carries the
     nonzero difference as a witness.
     """
-    chain.validate()
     expr = element.expr if isinstance(element, ChainElement) else element
     lhs = _derive_pair(zip(chain.variables, chain.rules), expr)
     # a constant f substitutes nothing, but the element's pair still gives
@@ -485,7 +484,7 @@ def _presentation_rule(A, B, r, s, w):
 def _build_certificate(base, r, s, p, f, name):
     variables = ("y1",)
     rule = from_unipoly(p, base, variables, "y1")
-    chain = PfaffianChain(base, "polynomial", (rule,), variables).validate()
+    chain = PfaffianChain(base, "polynomial", (rule,), variables)
     rexpr = from_unipoly(r, base, variables, "y1")
     sexpr = from_unipoly(s, base, variables, "y1")
     element = DiffRatFunc(rexpr, sexpr)

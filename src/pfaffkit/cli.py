@@ -280,6 +280,9 @@ def cmd_residues(args):
 
 
 def cmd_logderiv_reduce(args):
+    # looked up on each call, not bound at import: perfbench/capture.py
+    # replaces diffalg.riccati_reduce with a wrapper after this module is
+    # loaded, and must see every call to take the result it checks
     from .diffalg import riccati_reduce
 
     spec = parse_linear_text(args.equation)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .errors import (
     DegenerateCurve,
+    InternalInvariant,
     InvalidFactoredForm,
     ZeroDenominatorData,
 )
@@ -349,15 +350,13 @@ def classify_order_one(f, factored=None, degree_bound=3, candidates=()):
     name = sole_variable(f, default="y")
     f = renamed(f, name, name)
 
-    rational_chain = PfaffianChain(base, "rational", (renamed(f, name, "y1"),), ("y1",)).validate()
+    rational_chain = PfaffianChain(base, "rational", (renamed(f, name, "y1"),), ("y1",))
     noeth = rational_to_noetherian(f.num, f.den)
     identity = DiffRatFunc.from_poly(DiffPoly.var(base, (name,), name))
     back = verify_backward(f, [identity], rational_chain)
     inv_q = DiffRatFunc(DiffPoly.const(base, (name,), 1), f.den)
     back2 = verify_backward(f, [identity, inv_q], noeth)
     if not (back.ok and back2.ok):
-        from .errors import InternalInvariant
-
         raise InternalInvariant("rational-chain certificate failed to re-verify")
     rationally = yes(
         witness=("one-rule rational chain; unconstrained system in (y, w)",),
@@ -370,7 +369,7 @@ def classify_order_one(f, factored=None, degree_bound=3, candidates=()):
     if poly is not None:
         variables = ("y1",)
         rule = renamed(poly, name, "y1")
-        chain = PfaffianChain(base, "polynomial", (rule,), variables).validate()
+        chain = PfaffianChain(base, "polynomial", (rule,), variables)
         element = DiffPoly.var(base, variables, "y1")
         pfaffian = yes(
             witness=("polynomial right-hand side: the equation is its own chain",),

@@ -140,6 +140,12 @@ def _check_rank(n):
         raise InvalidN(f"matrix rank must be a positive integer, got {n!r}")
 
 
+# the atom constructors by the names groups are written with, in the
+# grammar and in series witnesses: plain, and ranked as NAME(n)
+ATOMS = {"Ga": Ga, "Gm": Gm, "GaxGm": GaxGm, "E": Elliptic, "Fin": Finite}
+RANKED_ATOMS = {"SL": SL, "GL": GL, "PSL": PSL, "PGL": PGL, "T": Torus}
+
+
 def product(*children):
     return Product(tuple(children))
 
@@ -361,14 +367,10 @@ def series_witness_valid(verdict, allowed):
 
 
 def _atom_from_str(s):
-    table = {"Ga": Ga(), "Gm": Gm(), "GaxGm": GaxGm(), "Fin": Finite(), "E": Elliptic()}
-    if s in table:
-        return table[s]
+    if s in ATOMS:
+        return ATOMS[s]()
     kind, _, rest = s.partition("(")
-    n = int(rest.rstrip(")"))
-    if kind == "T":
-        return Torus(n)
-    return {"SL": SL, "GL": GL, "PSL": PSL}[kind](n)
+    return RANKED_ATOMS[kind](int(rest.rstrip(")")))
 
 
 # ---------------------------------------------------------------------------

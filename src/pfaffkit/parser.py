@@ -41,6 +41,7 @@ from .diffalg import (
     DiffPoly,
     DiffRatFunc,
 )
+from .chains import PfaffianChain
 from . import groups as G
 
 
@@ -669,12 +670,6 @@ def parse_group_text(text):
     return g
 
 
-_GROUP_ATOMS = {
-    "Ga": G.Ga, "Gm": G.Gm, "GaxGm": G.GaxGm, "E": G.Elliptic, "Fin": G.Finite,
-}
-_GROUP_RANKED = {"SL": G.SL, "GL": G.GL, "PSL": G.PSL, "PGL": G.PGL, "T": G.Torus}
-
-
 def _parse_group(stream):
     stream.enter()
     g = _parse_group_node(stream)
@@ -689,15 +684,15 @@ def _parse_group_node(stream):
             f"unexpected {describe(t)}", t.line, t.col, expected=["group name"]
         )
     name = t.value
-    if name in _GROUP_ATOMS:
-        return _GROUP_ATOMS[name]()
-    if name in _GROUP_RANKED:
+    if name in G.ATOMS:
+        return G.ATOMS[name]()
+    if name in G.RANKED_ATOMS:
         stream.expect_op("(")
         n = stream.next()
         if n.kind != "number":
             raise ParseError(f"unexpected {describe(n)}", n.line, n.col, expected=["integer"])
         stream.expect_op(")")
-        return _GROUP_RANKED[name](n.value)
+        return G.RANKED_ATOMS[name](n.value)
     if name == "Prod":
         stream.expect_op("(")
         children = [_parse_group(stream)]
@@ -728,7 +723,7 @@ def _parse_group_node(stream):
 class Fixture:
     mode: str                 # 'forward' | 'backward'
     base: BaseDiffField
-    chain: object             # PfaffianChain or NoetherianSystem
+    chain: object             # PfaffianChain of any kind
     element: object = None    # forward: expression in the chain ring
     ode: object = None        # forward: DiffRatFunc
     defining: object = None   # backward: DiffRatFunc in w
@@ -745,8 +740,6 @@ def parse_fixture_text(text):
     key appears at most once.  The base field is known only after the last
     line, so values are kept as ASTs until then.
     """
-    from .chains import NoetherianSystem, PfaffianChain
-
     single, where, rules, assigns, body_tokens = {}, {}, [], [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -837,12 +830,9 @@ def parse_fixture_text(text):
     kind = "rational" if any(p is None for p in polys) else "polynomial"
     if kind == "polynomial":
         rules = polys
-    if noetherian:
-        if kind != "polynomial":
-            raise ParseError("an unconstrained system needs polynomial rules", 1, 1)
-        chain = NoetherianSystem(base, rules, ring)
-    else:
-        chain = PfaffianChain(base, kind, rules, ring).validate()
+    if noetherian and kind != "polynomial":
+        raise ParseError("an unconstrained system needs polynomial rules", 1, 1)
+    chain = PfaffianChain(base, "noetherian" if noetherian else kind, rules, ring)
 
     if "defining" in single:
         head, node = single["defining"]

@@ -27,6 +27,7 @@ from pfaffkit.chains import (
 from pfaffkit.cli import run
 from pfaffkit.diffalg import BaseDiffField, DiffPoly, DiffRatFunc, RatFunc, substitute_cleared
 from pfaffkit.errors import (
+    ArityMismatch,
     ChainMismatch,
     MixedKinds,
     NonConstantBase,
@@ -104,6 +105,86 @@ class TestValidation:
         rule = DiffRatFunc(DiffPoly.const(C, ("y1",), 1), y1)
         with pytest.raises(MixedKinds):
             chain_validate(PfaffianChain(C, "polynomial", (rule,), ("y1",)))
+
+
+class TestCheckedWhenBuilt:
+    """Every rule system is a PfaffianChain, checked by its constructor."""
+
+    @pytest.mark.parametrize("ring", [("y1",), ("y1", "y1")])
+    def test_repeated_variable_is_an_arity_mismatch(self, ring):
+        y = DiffPoly.var(C, ring, "y1")
+        with pytest.raises(ArityMismatch):
+            PfaffianChain(C, "polynomial", (y, y), ("y1", "y1"))
+
+    def test_rule_and_variable_counts_must_agree(self):
+        names = ("y1", "y2")
+        y1 = DiffPoly.var(C, names, "y1")
+        with pytest.raises(ArityMismatch):
+            PfaffianChain(C, "polynomial", (y1,), names)
+        with pytest.raises(ArityMismatch):
+            PfaffianChain(C, "polynomial", (y1, y1), ("y1", "y2", "y3"))
+
+    def test_a_rule_from_another_ring_is_an_arity_mismatch(self):
+        y1 = DiffPoly.var(C, ("y1", "y2"), "y1")
+        with pytest.raises(ArityMismatch):
+            PfaffianChain(C, "polynomial", (y1,), ("y1",))
+        y = DiffPoly.var(C, ("y", "w"), "y")
+        with pytest.raises(ArityMismatch):
+            chains.NoetherianSystem(C, (y, y), ("w", "y"))
+
+    def test_constructor_raises_triangularity_violated(self):
+        names = ("y1", "y2")
+        y2 = DiffPoly.var(C, names, "y2")
+        with pytest.raises(TriangularityViolated) as err:
+            PfaffianChain(C, "rational", (DiffRatFunc.from_poly(y2), y2), names)
+        assert (err.value.rule_index, err.value.variable_index) == (1, 2)
+
+    def test_unknown_kind(self):
+        y1 = DiffPoly.var(C, ("y1",), "y1")
+        with pytest.raises(MixedKinds):
+            PfaffianChain(C, "triangular", (y1,), ("y1",))
+
+    def test_noetherian_rules_must_be_polynomial(self):
+        y1 = DiffPoly.var(C, ("y1",), "y1")
+        with pytest.raises(MixedKinds) as err:
+            chains.NoetherianSystem(C, (DiffRatFunc(DiffPoly.const(C, ("y1",), 1), y1),))
+        assert str(err.value) == "rule 1 of a Noetherian system must be polynomial"
+
+    def test_a_noetherian_system_is_a_chain_of_that_kind(self):
+        fx = parse_fixture_text((FIXTURES / "noetherian_backward.pfaff").read_text(encoding="utf-8"))
+        system = fx.chain
+        assert isinstance(system, PfaffianChain) and system.kind == "noetherian"
+        rebuilt = chains.NoetherianSystem(system.base, system.rules, system.variables)
+        assert rebuilt == system and hash(rebuilt) == hash(system)
+        assert rebuilt == PfaffianChain(system.base, "noetherian", system.rules, system.variables)
+        assert rebuilt.serialize() == [
+            "y' = y^2*w - 5*y*w + 6*w",
+            "w' = -2*y^3*w^3 + 11*y^2*w^3 - 17*y*w^3 + 6*w^3",
+        ]
+        assert repr(rebuilt) == f"<noetherian chain {'; '.join(rebuilt.serialize())}>"
+        # the kind is part of a system's value
+        y1 = DiffPoly.var(C, ("y1",), "y1")
+        assert chains.NoetherianSystem(C, (y1,)) != PfaffianChain(C, "polynomial", (y1,))
+
+    def test_a_rational_chain_certificate_is_hashable(self):
+        y = DiffPoly.var(C, ("y",), "y")
+        f = DiffRatFunc(DiffPoly.const(C, ("y",), 1), 2 * y)
+        first, second = (pk.classify_order_one(f).rationally_pfaffian.payload for _ in range(2))
+        assert first == second and hash(first) == hash(second)
+
+    def test_verify_forward_on_a_noetherian_system(self):
+        y1 = DiffPoly.var(C, ("y1",), "y1")
+        y = DiffPoly.var(C, ("y",), "y")
+        assert verify_forward(chains.NoetherianSystem(C, (y1,), ("y1",)), y1, y).ok
+
+    def test_an_equation_in_w_takes_the_auxiliary_v(self):
+        w = DiffPoly.var(C, ("w",), "w")
+        system = rational_to_noetherian(w + 1, w * w)
+        assert system.variables == ("w", "v")
+        assert system.serialize() == ["w' = w*v + v", "v' = -2*w^2*v^3 - 2*w*v^3"]
+        g = DiffRatFunc(w + 1, w * w)
+        assignments = [DiffRatFunc.from_poly(w), 1 / DiffRatFunc.from_poly(w * w)]
+        assert verify_backward(g, assignments, system).ok
 
 
 class TestClosureOperations:

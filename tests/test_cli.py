@@ -28,6 +28,7 @@ from pfaffkit.parser import (
 LAMBERT = "tests/fixtures/lambert_backward.pfaff"
 SQRT_FWD = "tests/fixtures/sqrt_shift_forward.pfaff"
 UNDEFINED_BWD = "tests/fixtures/undefined_rule_backward.pfaff"
+NOETHERIAN_BWD = "tests/fixtures/noetherian_backward.pfaff"
 
 
 def invoke(*argv):
@@ -285,6 +286,22 @@ class TestCommands:
         assert doc["reduction"] == "u^3 + 3*u*u' + u'' - t"
         assert doc["order"] == 2
 
+    def test_logderiv_reduce_looks_up_riccati_reduce_on_each_call(self, monkeypatch):
+        # a wrapper installed on diffalg.riccati_reduce after cli is loaded
+        # must see the command's call; perfbench/capture.py relies on it
+        import pfaffkit.diffalg as diffalg
+
+        calls = []
+        original = diffalg.riccati_reduce
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(diffalg, "riccati_reduce", counting)
+        doc, code = run(["logderiv-reduce", "y'' + t*y = 0"])
+        assert code == 0 and len(calls) == 1
+
     def test_search_presentation_found(self):
         doc, code = invoke("search-presentation", "y' = 1/(2*y)")
         assert code == 0 and doc["found"] is True
@@ -391,6 +408,12 @@ class TestFixtureFiles:
         with pytest.raises(ParseError) as err:
             parse_fixture_text(text)
         assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+
+    def test_noetherian_fixture_file_is_the_readme_block(self):
+        text = next(block for block in readme_fixtures() if "system: noetherian" in block)
+        assert Path(NOETHERIAN_BWD).read_text(encoding="utf-8") == text
+        doc, code = invoke("chain-verify", "--mode", "backward", NOETHERIAN_BWD)
+        assert code == 0 and doc["result"] == "pass"
 
     def test_noetherian_fixture_reads_compare_equal(self):
         text = next(block for block in readme_fixtures() if "system: noetherian" in block)

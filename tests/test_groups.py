@@ -4,7 +4,9 @@ import random
 import pytest
 
 from pfaffkit.errors import InvalidD, InvalidN, UnknownAction
+from pfaffkit.parser import parse_group_text
 from pfaffkit.groups import (
+    ATOMS,
     EULERIAN,
     Atom,
     Elliptic,
@@ -18,6 +20,7 @@ from pfaffkit.groups import (
     PGL,
     PSL,
     Product,
+    RANKED_ATOMS,
     SL,
     Torus,
     UnknownSubgroupOf,
@@ -297,6 +300,36 @@ class TestEquivalences:
             for g in depth_two(small_atoms()):
                 v = check_series(g, allowed)
                 assert series_witness_valid(v, allowed), (g, str(allowed))
+
+
+# the atom names of the group grammar, plain and ranked as NAME(n)
+PLAIN_NAMES = ("Ga", "Gm", "GaxGm", "E", "Fin")
+RANKED_NAMES = ("SL", "GL", "PSL", "PGL", "T")
+
+
+def atom_texts():
+    """Every atom name of the grammar, the ranked ones at n = 1..4."""
+    return list(PLAIN_NAMES) + [f"{name}({n})" for name in RANKED_NAMES for n in range(1, 5)]
+
+
+class TestAtomNames:
+    """The grammar and the witness reader take one table of atom names."""
+
+    def test_the_tables_hold_the_grammar_names(self):
+        assert (tuple(ATOMS), tuple(RANKED_ATOMS)) == (PLAIN_NAMES, RANKED_NAMES)
+
+    @pytest.mark.parametrize("text", atom_texts())
+    def test_witness_reader_agrees_with_the_grammar(self, text):
+        g = parse_group_text(text)
+        for allowed in ALPHABETS:
+            read = series_witness_valid(yes(witness=(text,)), allowed)
+            assert read == allowed.allows_atom(g), (text, str(allowed))
+            v = check_series(g, allowed)
+            # an allowed atom is its own series; a disallowed one is Yes
+            # only through a decomposition, whose quotients read back
+            if read:
+                assert v.is_yes and v.witness == (str(g),), (text, str(allowed))
+            assert series_witness_valid(v, allowed), (text, str(allowed))
 
 
 class TestActions:
