@@ -16,19 +16,19 @@ rule of a defining equation.  Both take that derivative from
 identity, ``_compare``.
 
 The presentation search decides each candidate by one exact division
-of the pair ``exactfield.homogenized_pair`` builds; in front of it, the
-same pair in F_p rejects a candidate only when that division provably
-leaves a remainder.
+of the pair ``exactfield.homogenized_pair`` builds.  In front of it, two
+rules read off the poles of f reject, exactly, every candidate whose
+division must leave a remainder (``_pole_rules``).
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .errors import (
     ArityMismatch,
     ChainMismatch,
+    FieldMismatch,
     InternalInvariant,
     MixedKinds,
     NonConstantBase,
@@ -48,7 +48,6 @@ from .diffalg import (
 )
 from .exactfield import (
     AlgebraicScalar,
-    ModularPolys,
     UniPoly,
     extract_linear_roots,
     homogenized_pair,
@@ -67,25 +66,34 @@ class PfaffianChain:
     ``kind`` is ``"polynomial"`` (DiffPoly rules), ``"rational"`` (DiffPoly
     or DiffRatFunc rules) or ``"noetherian"`` (DiffPoly rules that may use
     every variable); the first two are triangular, P_i in v_1..v_i only.
-    Every rule lives in the ring ``variables``, one distinct variable per
-    rule.  Chains are immutable; extension operations return new chains.
+    Every rule lives in the ring ``variables`` over the field ``base``,
+    one distinct variable per rule.  Chains are read-only; extension
+    operations return new chains.
     """
 
     __slots__ = ("base", "kind", "rules", "variables")
 
     def __init__(self, base, kind, rules, variables=None):
-        self.base = base
-        self.kind = kind
-        self.rules = tuple(rules)
-        self.variables = tuple(variables) if variables is not None else _chain_vars(len(self.rules))
+        rules = tuple(rules)
+        variables = tuple(variables) if variables is not None else _chain_vars(len(rules))
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "variables", variables)
         self.validate()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a chain is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a chain is read-only: cannot delete {name!r}")
 
     @property
     def order(self):
         return len(self.rules)
 
     def validate(self):
-        """Raise MixedKinds, ArityMismatch or TriangularityViolated unless well formed.
+        """Raise MixedKinds, ArityMismatch, FieldMismatch or TriangularityViolated unless well formed.
 
         Returns the chain.
         """
@@ -102,6 +110,8 @@ class PfaffianChain:
                 raise MixedKinds(unfit.format(i))
             if rule.variables != variables:
                 raise ArityMismatch(f"rule {i} is not in the ring {variables}")
+            if rule.base != self.base:
+                raise FieldMismatch(f"rule {i} is over {rule.base}, not the chain's base {self.base}")
             if kind == "noetherian":
                 continue
             for v in rule.used_variables():
@@ -160,7 +170,7 @@ class NoetherianSystem(PfaffianChain):
 
 
 def chain_validate(c):
-    """Raise MixedKinds, ArityMismatch or TriangularityViolated unless ``c`` is well formed."""
+    """Raise MixedKinds, ArityMismatch, FieldMismatch or TriangularityViolated unless ``c`` is well formed."""
     return c.validate()
 
 
@@ -360,10 +370,12 @@ def search_presentation(f, candidates=(), degree_bound=3):
     Candidates h = R/S come from a fixed catalog built on the visible
     zeros and poles of f (plus 0 and 1) together with user-supplied
     (R, S) pairs.  A candidate is accepted only when its rule is a
-    polynomial (``_presentation_rule``), after ``_modular_test`` has let
-    it through.  This is a semi-decision: no bound on chain length
-    exists, so an empty result is *not* a refutation.  Every returned
-    certificate has already passed ``verify_forward``.
+    polynomial (``_presentation_rule``); ``_pole_rules`` first rejects
+    every candidate whose rule provably is not, and the whole search,
+    before the catalog is built, when no candidate's can be.  This is a
+    semi-decision: no bound on chain length exists, so an empty result
+    is *not* a refutation.  Every returned certificate has already
+    passed ``verify_forward``.
     """
     f = f if isinstance(f, DiffRatFunc) else DiffRatFunc.from_poly(f)
     base = f.base
@@ -372,9 +384,11 @@ def search_presentation(f, candidates=(), degree_bound=3):
     name = sole_variable(f, default="y")
     A = to_unipoly(f.num, name)
     B = to_unipoly(f.den, name)
-    rejects = _modular_test(A, B)
+    keep = _pole_rules(A, B)
+    if keep is None:
+        return None
     for r, s, w in _candidates(A, B, candidates, degree_bound):
-        if rejects(r, s, w):
+        if not keep(r, s):
             continue
         p = _presentation_rule(A, B, r, s, w)
         if p is None:
@@ -435,49 +449,41 @@ def _candidates(A, B, extra, degree_bound):
             yield r, s, w
 
 
-def _modular_test(A, B):
-    """The test ``(r, s, w) -> True | False | None`` run in front of ``_presentation_rule``.
+def _pole_rules(A, B):
+    """The test ``(r, s) -> bool`` that keeps each candidate whose rule may be a polynomial.
 
-    The exact test's pair (``homogenized_pair``, whose n, m and e are used
-    here) mapped to F_p by ``ModularPolys``, A and B once: True, a sure
-    rejection, when the remainder there is nonzero; False when it is
-    zero; None when no prime qualifies, p divides a denominator of A, B,
-    R, S or W, or the divisor's image is zero at its degree bound
-    max(i deg R + (m - i) deg S over b_i != 0) + deg W + max(-e,0) deg S.
-    That bound is the exact degree unless deg R == deg S and the top terms
-    of B~ cancel; a nonzero image there fixes the exact degree, so the
-    division commutes with the map.
+    None when no candidate's rule can be.  For f = A/B in lowest terms
+    and h = R/S in lowest terms, B~ = lc(B) prod_j (R - beta_j S), over
+    the roots beta_j of B in an algebraic closure, with multiplicity, is
+    coprime to A~ and to S;
+    it divides the dividend of ``homogenized_pair`` only when it is a
+    constant.  Rule 1: with two pole locations beta_1 != beta_2 both
+    R - beta_1 S and R - beta_2 S would be constants, so R and S would
+    be, and no h qualifies; with one, beta, R - beta S must be a
+    constant.  Rule 2: when e = m - n + 2 < 0, S divides the divisor but
+    not A~, which is a_n R^n mod S, so S must be a constant.
     """
-    ring = ModularPolys(A.field)
-    a, b = ring.image(A), ring.image(B)
-    if a is None or b is None:
-        return lambda r, s, w: None
-    n, m = A.degree, B.degree
-    # one constant per exact degree: the image of a top coefficient may vanish
-    a = [a[i:i + 1] for i in range(n + 1)] or [a]
-    b = [b[i:i + 1] for i in range(m + 1)]
-    d = len(B.nums) // (m + 1)
-    support = [i for i in range(m + 1) if any(B.nums[i * d:(i + 1) * d])]
-    s_shift = max(n - m - 2, 0)
-
-    def test(r, s, w):
-        ri, si, wi = ring.image(r), ring.image(s), ring.image(w)
-        if ri is None or si is None or wi is None:
+    m = B.degree
+    beta = None
+    if m >= 1:
+        lead = B.leading()
+        # the mean of the roots: B has one root exactly when it is that one
+        beta = -B.coeff(m - 1) / (lead * m)
+        if B != (UniPoly.x(B.field) - beta) ** m * lead:
             return None
-        dividend, divisor = homogenized_pair(a, b, ri, si, wi, 2, ring)
-        bound = max(i * r.degree + (m - i) * s.degree for i in support)
-        if len(divisor) != bound + w.degree + s_shift * s.degree + 1:
-            return None
-        return bool(ring.remainder(dividend, divisor))
+    constant_s = m - A.degree + 2 < 0
 
-    return test
+    def keep(r, s):
+        if constant_s and not s.is_constant():
+            return False
+        return beta is None or (r - s * beta).is_constant()
+
+    return keep
 
 
 def _presentation_rule(A, B, r, s, w):
     """The rule P = f(R/S) S^2 / W for f = A/B, or None when it is not a polynomial."""
-    a, b = A.coefficient_polys(), B.coefficient_polys()
-    dividend, divisor = homogenized_pair(a, b, r, s, w, 2, operator)
-    p, rem = divmod(dividend, divisor)
+    p, rem = divmod(*homogenized_pair(A, B, r, s, w, 2))
     return p if rem.is_zero() else None
 
 

@@ -30,7 +30,6 @@ never mutates, so concurrent use needs no coordination.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -858,8 +857,7 @@ def substitute_cleared(f_num, f_den, r, s, d=2):
     if f_den.is_zero():
         raise DivisionByZero("f has a zero denominator")
     one = UniPoly.const(1, r.field)
-    return RatFunc(*homogenized_pair(
-        f_num.coefficient_polys(), f_den.coefficient_polys(), r, s, one, d, operator))
+    return RatFunc(*homogenized_pair(f_num, f_den, r, s, one, d))
 
 
 # ---------------------------------------------------------------------------

@@ -23,21 +23,13 @@ written once, on lists of coefficients with ``*``, ``-`` and
 Q(theta), for differential rational functions over K(t), and for the
 reduction of scalars by their defining polynomial.
 
-``ModularPolys`` holds the images of ``UniPoly`` in F_p under one ring
-homomorphism: reduction mod a prime p with theta sent to a root rho of
-the defining polynomial mod p (``modular_root``: the largest such prime
-up to ``MODULAR_PRIME``), so an image is a list of ints mod p whatever
-the field.  It only ever proves that an exact division leaves a
-remainder: ``image`` refuses a polynomial whose denominators p divides,
-and a remainder counts only for a divisor whose leading coefficient has
-a nonzero image.
-
-Every ring in the package shares what is written here: ``power``, the
-one square-and-multiply loop; ``homogenized_pair``, the presentation
-rule's pair, for ``UniPoly`` and its images in F_p alike; and the
-printer.  ``signed_sum`` joins signed terms, ``product_str`` renders
-coefficient times monomial, and ``ratio_str`` a quotient, for scalars,
-``UniPoly`` and ``diffalg`` alike.
+Every ring in the package shares ``power``, the one square-and-multiply
+loop, and the printer: ``signed_sum`` joins signed terms,
+``product_str`` renders coefficient times monomial, and ``ratio_str`` a
+quotient, for scalars, ``UniPoly`` and ``diffalg`` alike.
+``homogenized_pair`` composes A/B with R/S as one unreduced pair of
+``UniPoly``, for the presentation rule and ``diffalg.substitute_cleared``
+alike.
 
 Only simple extensions are supported (one generator, no towers), which
 covers every concrete irrationality condition the verdict engine needs.
@@ -51,7 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 from .errors import (
@@ -129,7 +120,7 @@ def _over_common_denominator(cs):
 
 
 # ---------------------------------------------------------------------------
-# shared by every ring: powers, the homogenized pair and printing
+# powers, the homogenized pair and printing
 
 def power(one, base, n):
     """``base**n`` for an int ``n >= 0`` by square-and-multiply, starting from ``one``."""
@@ -143,34 +134,31 @@ def power(one, base, n):
     return out
 
 
-def homogenized_pair(a, b, r, s, w, d, ring):
+def homogenized_pair(A, B, r, s, w, d):
     """f(R/S) S^d / W for f = A/B as the unreduced pair (A~ S^max(e,0), B~ W S^max(-e,0)).
 
     With n = deg A, m = deg B and e = m - n + d, A~ = sum a_i R^i S^(n-i)
     and B~ likewise, so the fraction is a polynomial exactly when the
-    second entry divides the first.  ``a`` and ``b`` hold the coefficients
-    of A and B as constants of the ring, lowest degree first, n + 1 and
-    m + 1 of them; ``ring.mul`` and ``ring.add`` are its product and sum:
-    the ``operator`` module for ``UniPoly``, a ``ModularPolys`` for images
-    in F_p.
+    second entry divides the first.  All arguments are ``UniPoly`` over
+    one field.
     """
-    mul, add = ring.mul, ring.add
 
     def homogenized(cs):
         # Horner from the top: acc = acc*R + c_i*S^(deg-i)
         acc, spow = cs[-1], s
         for i in range(len(cs) - 2, -1, -1):
-            acc = add(mul(acc, r), mul(cs[i], spow))
+            acc = acc * r + cs[i] * spow
             if i:
-                spow = mul(spow, s)
+                spow = spow * s
         return acc
 
-    x, y = homogenized(a), mul(homogenized(b), w)
+    a, b = A.coefficient_polys(), B.coefficient_polys()
+    x, y = homogenized(a), homogenized(b) * w
     e = len(b) - len(a) + d
     for _ in range(e):
-        x = mul(x, s)
+        x = x * s
     for _ in range(-e):
-        y = mul(y, s)
+        y = y * s
     return x, y
 
 
@@ -360,6 +348,33 @@ def _integer_eval(cs, x):
     for c in reversed(cs):
         acc = acc * x + c
     return acc
+
+
+# the first 12 primes: Miller-Rabin with these bases is exact below 3.1 * 10^23
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin test, exact for every ``n < 3.1 * 10^23``."""
+    if n < 2:
+        return False
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _integer_roots(g):
@@ -1245,196 +1260,6 @@ def _block_mul(an, bn, field):
                     prod[i] -= top * m
         out.extend(prod)
     return out, lead ** (d - 1)
-
-
-# ---------------------------------------------------------------------------
-# polynomial images modulo one prime
-
-MODULAR_PRIME = 2 ** 61 - 1
-
-# the first 12 primes: Miller-Rabin with these bases is exact below 3.1 * 10^23
-_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n):
-    """Deterministic Miller-Rabin test, exact for every ``n < 3.1 * 10^23``."""
-    if n < 2:
-        return False
-    for q in _MILLER_RABIN_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while not d & 1:
-        d, s = d >> 1, s + 1
-    for a in _MILLER_RABIN_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _mod_rem(a, m, p):
-    """The remainder mod p of the list ``a`` (entries in [0, p)) by ``m``, whose top entry is 1."""
-    low = m[:-1]
-    a = list(a)
-    while len(a) >= len(m):
-        top = a.pop()
-        if top:
-            for i, c in enumerate(low, len(a) - len(low)):
-                a[i] = (a[i] - top * c) % p
-    return _trim_blocks(a, 1)
-
-
-def _mod_monic(a, p):
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def _mod_gcd(a, b, p):
-    """The monic gcd mod p of the trimmed lists ``a`` (monic) and ``b``."""
-    while b:
-        a, b = _mod_monic(b, p), a
-        b = _mod_rem(b, a, p)
-    return a
-
-
-class _Residue:
-    """An element of F_p[x]/(g), g monic, with the ``*`` that ``power`` needs."""
-
-    __slots__ = ("cs", "g", "p")
-
-    def __init__(self, cs, g, p):
-        self.cs, self.g, self.p = cs, g, p
-
-    def __mul__(self, other):
-        p = self.p
-        prod = _nums_mul(self.cs, other.cs, None)[0] if self.cs and other.cs else []
-        return _Residue(_mod_rem([x % p for x in prod], self.g, p), self.g, p)
-
-
-def _power_minus_monomial(cs, n, k, g, p):
-    """The list of ``cs^n - x^k`` mod (g, p), for ``k < deg g``."""
-    out = power(_Residue([1], g, p), _Residue(_mod_rem(cs, g, p), g, p), n).cs
-    out += [0] * (k + 1 - len(out))
-    out[k] = (out[k] - 1) % p
-    return _trim_blocks(out, 1)
-
-
-def _mod_root(m, p):
-    """A root in F_p of the monic list ``m`` (entries in [0, p)), or None.
-
-    gcd(x^p - x, m) is the product of the distinct linear factors of m.
-    While it has several, equal-degree splitting with the fixed shifts
-    a = 0, 1, 2, ... takes gcd((x + a)^((p-1)/2) - 1, g): the roots r
-    with r + a a nonzero square.  Some shift in F_p separates any two
-    distinct roots, since a set of squares closed under a nonzero
-    translation would be all of F_p; so the walk ends.
-    """
-    if p == 2:
-        return 0 if m[0] % 2 == 0 else 1 if sum(m) % 2 == 0 else None
-    g = _mod_gcd(m, _power_minus_monomial([0, 1], p, 1, m, p), p)
-    a = 0
-    while len(g) > 2:
-        h = _mod_gcd(g, _power_minus_monomial([a, 1], (p - 1) // 2, 0, g, p), p)
-        if 1 < len(h) < len(g):
-            g = h
-        a += 1
-    return -g[0] % p if len(g) == 2 else None
-
-
-def modular_root(field):
-    """``(p, rho)`` for the images of ``field``, or None when no prime qualifies.
-
-    p is the largest prime <= ``MODULAR_PRIME`` that does not divide the
-    leading coefficient L of the integer defining polynomial and at which
-    the defining polynomial m has a root rho (0 over Q).  Computed on
-    first use and cached per (field, ``MODULAR_PRIME``).
-    """
-    return _modular_root(field, MODULAR_PRIME)
-
-
-@lru_cache
-def _modular_root(field, bound):
-    for p in range(bound, 1, -1):
-        if not _is_prime(p):
-            continue
-        if field is None:
-            return p, 0
-        lead = field.minpoly_den
-        if lead % p:
-            rho = _mod_root(_mod_monic(field.minpoly_nums + (lead,), p), p)
-            if rho is not None:
-                return p, rho
-    return None
-
-
-class ModularPolys:
-    """Images in F_p of ``UniPoly`` over one field, through theta -> rho.
-
-    ``modular_root`` gives the prime p and a root rho of the defining
-    polynomial m mod p.  Sending theta to rho and reducing mod p is a ring
-    homomorphism phi on the elements of Q(theta) whose denominators p does
-    not divide, since p does not divide that of m either; ``image``
-    returns None for every other polynomial, and for every polynomial
-    when no prime qualifies.  An image is a list of ints in [0, p), lowest
-    degree first, with no zero on top, whatever the field; products are
-    plain convolutions.
-
-    Long division by an exact polynomial D with phi(lc D) nonzero runs in
-    the localisation at lc D and commutes with phi.  A nonzero
-    ``remainder`` of the images therefore proves a nonzero exact
-    remainder: the modular image test of Brown (1971), used for rejection
-    only.  This holds as well when m is reducible but only asserted
-    irreducible, and when rho is a repeated root mod p.
-    """
-
-    __slots__ = ("field", "p", "root", "weights")
-
-    def __init__(self, field):
-        p, rho = modular_root(field) or (None, None)
-        self.field, self.p, self.root = field, p, rho
-        # the images of 1, theta, ..., theta^(d-1)
-        self.weights = None if p is None else [pow(rho, j, p) for j in range(_dim(field))]
-
-    def image(self, u):
-        """The image of ``u``, or None when ``u`` is not p-integral or from another field."""
-        p = self.p
-        if p is None or u.den % p == 0:
-            return None
-        if u.field is not self.field and u.field != self.field:
-            return None
-        inv = pow(u.den, -1, p)
-        nums, ws = u.nums, [w * inv % p for w in self.weights]
-        if len(ws) == 1:
-            w = ws[0]
-            return _trim_blocks([n * w % p for n in nums], 1)
-        d = len(ws)
-        return _trim_blocks(
-            [sum(n * w for n, w in zip(nums[i:i + d], ws)) % p for i in range(0, len(nums), d)], 1)
-
-    def mul(self, a, b):
-        """The image of ``a*b``."""
-        if not (a and b):
-            return []
-        p = self.p
-        return _trim_blocks([x % p for x in _nums_mul(a, b, None)[0]], 1)
-
-    def add(self, a, b):
-        """The image of ``a + b``."""
-        if len(a) < len(b):
-            a, b = b, a
-        p = self.p
-        return _trim_blocks([(x + y) % p for x, y in zip(a, b)] + a[len(b):], 1)
-
-    def remainder(self, a, m):
-        """The remainder of ``a`` divided by the nonzero image ``m``."""
-        return _mod_rem(a, _mod_monic(m, self.p), self.p)
 
 
 def poly_gcd(p, q):

@@ -13,7 +13,7 @@ import pfaffkit.exactfield as exactfield
 from pfaffkit.chains import (
     PfaffianChain,
     _candidates,
-    _modular_test,
+    _pole_rules,
     _presentation_rule,
     chain_validate,
     combine,
@@ -25,17 +25,26 @@ from pfaffkit.chains import (
     verify_forward,
 )
 from pfaffkit.cli import run
-from pfaffkit.diffalg import BaseDiffField, DiffPoly, DiffRatFunc, RatFunc, substitute_cleared
+from pfaffkit.diffalg import (
+    BaseDiffField,
+    DiffPoly,
+    DiffRatFunc,
+    RatFunc,
+    sole_variable,
+    substitute_cleared,
+    to_unipoly,
+)
 from pfaffkit.errors import (
     ArityMismatch,
     ChainMismatch,
+    FieldMismatch,
     MixedKinds,
     NonConstantBase,
     TriangularityViolated,
     ZeroDenominator,
     ZeroElement,
 )
-from pfaffkit.parser import parse_fixture_text
+from pfaffkit.parser import parse_fixture_text, parse_ode_text
 
 from conftest import (
     rand_diffpoly,
@@ -131,6 +140,30 @@ class TestCheckedWhenBuilt:
         y = DiffPoly.var(C, ("y", "w"), "y")
         with pytest.raises(ArityMismatch):
             chains.NoetherianSystem(C, (y, y), ("w", "y"))
+
+    def test_a_rule_over_another_base_is_a_field_mismatch(self):
+        t = Kt.gen()
+        y1 = DiffPoly.var(Kt, ("y1",), "y1")
+        with pytest.raises(FieldMismatch):
+            PfaffianChain(C, "polynomial", (t * y1,), ("y1",))
+        with pytest.raises(FieldMismatch):
+            chains.NoetherianSystem(C, (y1,))
+        assert PfaffianChain(Kt, "polynomial", (t * y1,), ("y1",)).base == Kt
+
+    def test_a_built_chain_is_read_only(self):
+        names = ("y1", "y2")
+        y1, y2 = (DiffPoly.var(C, names, v) for v in names)
+        for chain in (PfaffianChain(C, "polynomial", (y1, y1 * y2), names),
+                      chains.NoetherianSystem(C, (y2, y1), names)):
+            before = repr(chain)
+            for name in ("base", "kind", "rules", "variables"):
+                with pytest.raises(AttributeError):
+                    setattr(chain, name, getattr(chain, name))
+                with pytest.raises(AttributeError):
+                    delattr(chain, name)
+            with pytest.raises(AttributeError):
+                chain.rules = (y2, y2)
+            assert repr(chain) == before and chain.validate() is chain
 
     def test_constructor_raises_triangularity_violated(self):
         names = ("y1", "y2")
@@ -808,7 +841,7 @@ class TestSearchPresentation:
                 return None
             return quot.num * quot.den.constant_value().inverse()
 
-        for field in FILTER_FIELDS.values():
+        for field in RULE_FIELDS.values():
             rng = random.Random(31)
             x = pk.UniPoly.x(field)
             for k in range(40):
@@ -839,14 +872,15 @@ class TestSearchPresentation:
                     assert _presentation_rule(A, B, r2, s2, w2) == reference_rule(A, B, r2, s2, w2)
 
     def test_exact_rule_builds_no_fraction_and_runs_no_gcd(self, monkeypatch):
-        # count inside _presentation_rule only, with the modular test off so
-        # that every catalog candidate reaches it
-        inside, counts = [], {"rule": 0, "RatFunc": 0, "gcd": 0}
+        # every catalog candidate of the input, straight to the exact rule
+        f = parse_ode_text("y' = (y - r)*(y + 1)/(y*(y - 2)) over Q(r: r^2-2)").f
+        A, B = (to_unipoly(p, sole_variable(f)) for p in (f.num, f.den))
+        tried = list(_candidates(A, B, (), 3))
+        counts = {"RatFunc": 0, "gcd": 0}
 
         def counting(key, real):
             def counted(*args):
-                if inside:
-                    counts[key] += 1
+                counts[key] += 1
                 return real(*args)
             return counted
 
@@ -855,34 +889,18 @@ class TestSearchPresentation:
             for gcd in ("poly_gcd", "dense_gcd"):
                 if hasattr(module, gcd):
                     monkeypatch.setattr(module, gcd, counting("gcd", getattr(module, gcd)))
-        real_rule = chains._presentation_rule
-
-        def rule(*args):
-            counts["rule"] += 1
-            inside.append(True)
-            try:
-                return real_rule(*args)
-            finally:
-                inside.pop()
-
-        monkeypatch.setattr(chains, "_presentation_rule", rule)
-        monkeypatch.setattr(chains, "_modular_test", lambda A, B: lambda r, s, w: None)
-        from pfaffkit.parser import parse_ode_text
-
-        f = parse_ode_text("y' = (y - r)*(y + 1)/(y*(y - 2)) over Q(r: r^2-2)").f
-        assert search_presentation(f) is None
-        assert counts["rule"] > 20 and counts["RatFunc"] == counts["gcd"] == 0
+        assert all(_presentation_rule(A, B, r, s, w) is None for r, s, w in tried)
+        assert len(tried) > 20 and counts == {"RatFunc": 0, "gcd": 0}
 
 
-
-# fields of the filter properties: Q, two integral fields, and one whose
-# integer defining polynomial 6x^3 + 2x^2 - 3 has a leading coefficient
-FILTER_FIELDS = {
+# fields of the rule properties: Q, two integral fields, one whose integer
+# defining polynomial 6x^3 + 2x^2 - 3 has a leading coefficient, and two
+# more quadratics
+RULE_FIELDS = {
     "Q": None,
     "Q(sqrt2)": pk.nf_new([-2, 0, 1]),
     "Q(cbrt2)": pk.nf_new([-2, 0, 0, 1]),
     "Q(cubic denominators)": pk.nf_new([Fraction(-1, 2), 0, Fraction(1, 3), 1]),
-    # no root mod 2^61 - 1: the test runs at a smaller prime
     "Q(sqrt3)": pk.nf_new([-3, 0, 1]),
     "Q(i)": pk.nf_new([1, 0, 1]),
 }
@@ -892,67 +910,57 @@ def with_w(r, s):
     return r, s, r.derivative() * s - r * s.derivative()
 
 
-def counting_presentation_rule(monkeypatch):
+def counting_calls(monkeypatch, name):
+    """Record the arguments of every call to ``chains.<name>``."""
     calls = []
-    real = chains._presentation_rule
+    real = getattr(chains, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(chains, "_presentation_rule", counted)
+    monkeypatch.setattr(chains, name, counted)
     return calls
 
 
 def check_rejections(field, rng):
-    """Every candidate the modular test rejects, for a random f, fails the exact
-    rule; returns how many it rejected."""
+    """Every candidate the pole rules reject, for a random f in lowest terms,
+    fails the exact rule; returns how many they rejected.  Half the
+    denominators have one pole location, where rule 1 keeps candidates."""
     A, B = rand_unipoly(rng, field, max_deg=4), rand_unipoly(rng, field, max_deg=3)
+    if rng.random() < 0.5:
+        x = pk.UniPoly.x(field)
+        B = (x - rand_scalar(rng, field, 3)) ** rng.randint(1, 3) * rand_scalar(rng, field, 3)
     if B.is_zero():
         B = pk.UniPoly.const(1, field)
     g = pk.poly_gcd(A, B)
     A, B = A // g, B // g
     pairs = [(rand_unipoly(rng, field, max_deg=2), rand_unipoly(rng, field, max_deg=2))
              for _ in range(4)]
-    # random pairs go through the catalog (reduced) and to the test as drawn
-    tried = list(_candidates(A, B, pairs, 3))
-    tried += [with_w(r, s) for r, s in pairs if not s.is_zero()]
-    test = _modular_test(A, B)
+    # the catalog brings the random pairs to lowest terms
+    keep = _pole_rules(A, B)
     rejected = 0
-    for r, s, w in tried:
-        if w.is_zero():
-            continue
-        if test(r, s, w):
+    for r, s, w in _candidates(A, B, pairs, 3):
+        if keep is None or not keep(r, s):
             assert _presentation_rule(A, B, r, s, w) is None
             rejected += 1
     return rejected
 
 
-class TestModularFilter:
-    """The mod-p rejection in front of the exact presentation rule."""
+class TestPoleRules:
+    """The exact rejections by the poles of f in front of the exact rule."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(st.sampled_from(sorted(FILTER_FIELDS)), st.integers(0, 2 ** 32))
+    @given(st.sampled_from(sorted(RULE_FIELDS)), st.integers(0, 2 ** 32))
     def test_a_rejection_is_never_overturned(self, name, seed):
-        check_rejections(FILTER_FIELDS[name], random.Random(seed))
-
-    @pytest.mark.parametrize("prime", [3, 5, 7, 13])
-    def test_a_rejection_at_a_small_prime_is_never_overturned(self, prime, monkeypatch):
-        # small primes split the defining polynomials, give repeated roots
-        # (x^2 - 3 at 3) and make the images of nonzero coefficients vanish
-        monkeypatch.setattr(exactfield, "MODULAR_PRIME", prime)
-        rejected = 0
-        for name, field in sorted(FILTER_FIELDS.items()):
-            for seed in range(25):
-                rejected += check_rejections(field, random.Random(f"{name}/{prime}/{seed}"))
-        assert rejected > 0
+        check_rejections(RULE_FIELDS[name], random.Random(seed))
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(st.sampled_from(sorted(FILTER_FIELDS)), st.integers(0, 2 ** 32))
+    @given(st.sampled_from(sorted(RULE_FIELDS)), st.integers(0, 2 ** 32))
     def test_a_hit_is_never_rejected(self, name, seed):
         # a Moebius h = R/S and a rule P give f = (P W / S^2)(h^-1), whose
         # presentation through (R, S) has the rule P
-        field = FILTER_FIELDS[name]
+        field = RULE_FIELDS[name]
         rng = random.Random(seed)
         x = pk.UniPoly.x(field)
         while True:
@@ -965,84 +973,82 @@ class TestModularFilter:
         f = substitute_cleared(g.num, g.den, x * d - b, pk.UniPoly.const(a, field) - x * c, d=0)
         A, B = f.num, f.den
         assert _presentation_rule(A, B, r, s, w) == P
-        assert _modular_test(A, B)(r, s, w) is not True
+        keep = _pole_rules(A, B)
+        assert keep is not None and keep(r, s)
 
     def test_catalog_hits_survive(self):
-        # y' = 1/(2y) has the hit h = 1/x; a hit passes the filter first
+        # y' = 1/(2y) has the hit h = 1/x; the rules keep every hit
         x = pk.UniPoly.x(None)
         one = pk.UniPoly.const(1, None)
         A, B = one, x * 2
-        test = _modular_test(A, B)
+        keep = _pole_rules(A, B)
         hits = [(r, s, w) for r, s, w in _candidates(A, B, (), 3)
                 if _presentation_rule(A, B, r, s, w) is not None]
-        assert hits and all(test(r, s, w) is False for r, s, w in hits)
+        assert hits and all(keep(r, s) for r, s, w in hits)
 
     def test_missing_powers_of_s_are_a_rejection(self):
         # f = y^3 + 1 and h = 1/x: P = -(1 + x^3)/x, so S^(-e) = x does not
-        # divide the dividend 1 + x^3
+        # divide the dividend 1 + x^3 (rule 2)
         x = pk.UniPoly.x(None)
         one = pk.UniPoly.const(1, None)
         A, B = x ** 3 + 1, one
-        cand = with_w(one, x)
-        assert _presentation_rule(A, B, *cand) is None
-        assert _modular_test(A, B)(*cand) is True
+        assert _presentation_rule(A, B, *with_w(one, x)) is None
+        keep = _pole_rules(A, B)
+        assert keep(one, x) is False and keep(x + 1, one) is True
 
-    def test_prime_dividing_a_denominator_falls_through(self, monkeypatch):
-        x = pk.UniPoly.x(None)
-        one = pk.UniPoly.const(1, None)
-        A, B = x - Fraction(1, 2), x * (x - 5)
-        r, s = x - Fraction(1, 3), one
-        assert _modular_test(A, B)(*with_w(r, s)) is True
-        monkeypatch.setattr(exactfield, "MODULAR_PRIME", 3)
-        assert _modular_test(A, B)(*with_w(r, s)) is None  # 3 divides R's denominator
-        monkeypatch.setattr(exactfield, "MODULAR_PRIME", 2)
-        assert _modular_test(A, B)(*with_w(x, one)) is None  # 2 divides A's
-        field = FILTER_FIELDS["Q(cubic denominators)"]
-        xf, onef = pk.UniPoly.x(field), pk.UniPoly.const(1, field)
-        # 2 divides 6, the denominator of the defining polynomial
-        assert _modular_test(xf, xf * xf + 1)(*with_w(xf, onef)) is None
-
-    def test_non_unit_leading_coefficient_falls_through(self, monkeypatch):
-        # mod 7, x^2 - 2 has the roots 3 and 4 and r goes to one of them,
-        # rho; rho - r is nonzero but its image is zero, and it is the
-        # leading coefficient of B and, for h = x, of the divisor
-        field = FILTER_FIELDS["Q(sqrt2)"]
-        monkeypatch.setattr(exactfield, "MODULAR_PRIME", 7)
-        ring = exactfield.ModularPolys(field)
-        assert ring.p == 7 and ring.root in (3, 4)
-        x, one = pk.UniPoly.x(field), pk.UniPoly.const(1, field)
-        A = x * x + 1
-        B = x * pk.UniPoly.const(ring.root - field.gen(), field) + 1
-        cand = with_w(x, one)
-        assert _presentation_rule(A, B, *cand) is None
-        assert B.degree == 1 and ring.image(B) == [1]
-        assert _modular_test(A, B)(*cand) is None
-        monkeypatch.undo()
-        assert _modular_test(A, B)(*cand) is True
-
-    def test_cancellation_at_equal_degrees_falls_through(self):
-        # B(1) = 0 and lc R = lc S, so B~ = R^2 - S^2 = -(2x + 5) drops a degree
+    def test_cancellation_at_equal_degrees_is_a_rule_one_rejection(self):
+        # B(1) = 0 and lc R = lc S, so B~ = R^2 - S^2 = -(2x + 5) drops a
+        # degree; x^2 - 1 has two pole locations, so no candidate is kept
         x = pk.UniPoly.x(None)
         one = pk.UniPoly.const(1, None)
         A, B = one, x * x - 1
-        cand = with_w(x + 2, x + 3)
-        assert _presentation_rule(A, B, *cand) is None
-        assert _modular_test(A, B)(*cand) is None
+        assert _presentation_rule(A, B, *with_w(x + 2, x + 3)) is None
+        assert _pole_rules(A, B) is None
 
     @pytest.mark.parametrize("n", [9, 120])
     def test_degree_sweep_inputs_never_reach_the_exact_rule(self, n, monkeypatch):
         argv = ["classify-ode", f"y' = (y-1)^{n}/(y*(y-1/3))"]
-        calls = counting_presentation_rule(monkeypatch)
+        calls = counting_calls(monkeypatch, "_presentation_rule")
+        catalogs = counting_calls(monkeypatch, "_candidates")
         doc, code = run(argv)
-        assert code == 0 and calls == []
+        assert code == 0 and calls == [] and catalogs == []
         assert doc["verdicts"]["pfaffian"] == "unknown"
         reason = doc["reasons"]["pfaffian"]
         assert reason.endswith("presentation search exhausted at degree bound 3")
         # the exact rule alone gives the same envelope
-        monkeypatch.setattr(chains, "_modular_test", lambda A, B: lambda r, s, w: None)
+        monkeypatch.setattr(chains, "_pole_rules", lambda A, B: lambda r, s: True)
         exact_doc, exact_code = run(argv)
         assert len(calls) > 0
         assert (exact_doc, exact_code) == (doc, code)
+
+    @pytest.mark.parametrize("text", [
+        "y' = 1/(y^2-2)",
+        "y' = 1/((y-1)^2*(y-2))",
+        "y' = (y-1)^5/(y*(y-1/3))",
+    ])
+    def test_two_pole_locations_build_no_catalog(self, text, monkeypatch):
+        catalogs = counting_calls(monkeypatch, "_candidates")
+        assert search_presentation(parse_ode_text(text).f) is None
+        assert catalogs == []
+
+    def test_one_pole_location_keeps_exactly_the_shifted_candidates(self):
+        # over Q(sqrt2) with B = (x - r)^2: kept exactly when R - r S is a
+        # constant; h = r + 1/x is the hit of y' = 1/(y - r)^2
+        field = RULE_FIELDS["Q(sqrt2)"]
+        x, one, root = pk.UniPoly.x(field), pk.UniPoly.const(1, field), field.gen()
+        B = (x - root) ** 2
+        extra = [(x * root + 1, x), (x * x * root - 2, x * x), (x, x - root), (x * root + 3, one)]
+        for A in (one, x + 1, x * x * x - 3):
+            keep = _pole_rules(A, B)
+            kept = []
+            for r, s, w in _candidates(A, B, extra, 3):
+                assert keep(r, s) == (r - s * root).is_constant()
+                if keep(r, s):
+                    kept.append((r, s))
+                else:
+                    assert _presentation_rule(A, B, r, s, w) is None
+            assert kept == [(x * root + 1, x), (x * x * root - 2, x * x)]
+        assert _presentation_rule(one, B, *with_w(x * root + 1, x)) == -(x ** 4)
 
 
 class TestSerialization:
