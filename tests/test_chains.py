@@ -996,6 +996,37 @@ class TestPoleRules:
         keep = _pole_rules(A, B)
         assert keep(one, x) is False and keep(x + 1, one) is True
 
+    @pytest.mark.parametrize("name", list(RULE_FIELDS))
+    def test_rule_two_rejects_every_non_constant_s(self, name):
+        # deg A > deg B + 2: S divides the divisor but not A~ = a_n R^n mod S,
+        # for a denominator with no pole and for one with one pole location
+        field = RULE_FIELDS[name]
+        rng = random.Random(f"rule two/{name}")
+        x = pk.UniPoly.x(field)
+        beta = field.gen() if field else pk.AlgebraicScalar.rational(Fraction(1, 3))
+        rejected = 0
+        for k in range(30):
+            m = k % 3
+            B = (x - beta) ** m * rand_scalar(rng, field, 3, nonzero=True)
+            A = x ** (m + 3) * rand_scalar(rng, field, 3, nonzero=True) + rand_unipoly(rng, field)
+            if not pk.poly_gcd(A, B).is_constant():
+                continue
+            keep = _pole_rules(A, B)
+            r, s = rand_unipoly(rng, field, max_deg=2), rand_unipoly(rng, field, max_deg=2)
+            if s.is_zero():
+                continue
+            g = pk.poly_gcd(r, s)
+            r, s, w = with_w(r // g, s // g)
+            if s.is_constant() or w.is_zero():
+                continue
+            assert keep(r, s) is False
+            assert _presentation_rule(A, B, r, s, w) is None
+            rejected += 1
+            if m == 0:
+                # with no pole, rule 2 alone decides: a constant S is kept
+                assert keep(r, pk.UniPoly.const(2, field)) is True
+        assert rejected >= 10
+
     def test_cancellation_at_equal_degrees_is_a_rule_one_rejection(self):
         # B(1) = 0 and lc R = lc S, so B~ = R^2 - S^2 = -(2x + 5) drops a
         # degree; x^2 - 1 has two pole locations, so no candidate is kept

@@ -24,6 +24,7 @@ from pfaffkit.exactfield import (
     dense_divmod,
     dense_gcd,
     extract_linear_roots,
+    homogenized_pair,
     scalar_sqrt,
 )
 
@@ -883,6 +884,65 @@ class TestMillerRabin:
             assert not _is_prime(n) and not sympy.isprime(n), n
         for n in (2 ** 61 - 1, 2 ** 31 - 1, 2 ** 89 - 1, 1000000007):
             assert _is_prime(n)
+
+
+def ref_homogenized(poly, r, s):
+    """sum c_i R^i S^(deg - i) over the coefficients of ``poly``, term by term."""
+    n = poly.degree
+    return sum((r ** i * s ** (n - i) * c for i, c in enumerate(poly.coeffs)),
+               UniPoly.zero(poly.field))
+
+
+def rand_nonzero_poly_of(rng, field, max_deg, span):
+    while True:
+        p = rand_poly_of(rng, field, max_deg, span)
+        if not p.is_zero():
+            return p
+
+
+class TestHomogenizedPair:
+    """f(R/S) S^d / W as the unreduced pair that the presentation rule divides."""
+
+    @pytest.mark.parametrize("name", list(INTEGER_FIELDS))
+    def test_matches_the_term_by_term_sums(self, name):
+        field = INTEGER_FIELDS[name]
+        rng = random.Random(f"homogenized/{name}")
+        for _ in range(25):
+            A, B, r, s, w = (rand_nonzero_poly_of(rng, field, 4, 5) for _ in range(5))
+            d = rng.randint(0, 3)
+            e = B.degree - A.degree + d
+            x, y = homogenized_pair(A, B, r, s, w, d)
+            assert x == ref_homogenized(A, r, s) * s ** max(e, 0)
+            assert y == ref_homogenized(B, r, s) * w * s ** max(-e, 0)
+            # at a rational point where every value is defined, x/y is
+            # f(h) S^d / W
+            t = AlgebraicScalar.rational(rand_fraction(rng, 7)).lift(field)
+            if s.eval(t).is_zero() or w.eval(t).is_zero():
+                continue
+            h = r.eval(t) / s.eval(t)
+            if B.eval(h).is_zero():
+                continue
+            assert not y.eval(t).is_zero()
+            assert x.eval(t) / y.eval(t) == A.eval(h) / B.eval(h) * s.eval(t) ** d / w.eval(t)
+
+    @pytest.mark.parametrize("name", list(INTEGER_FIELDS))
+    def test_a_split_denominator_is_the_product_over_its_roots(self, name):
+        # B = lc prod (x - beta_j) gives B~ = lc prod (R - beta_j S), the
+        # identity that the pole rules of the presentation search rest on
+        field = INTEGER_FIELDS[name]
+        rng = random.Random(f"split/{name}")
+        one = UniPoly.const(1, field)
+        for _ in range(25):
+            roots = [rand_scalar(rng, field, 5) for _ in range(rng.randint(1, 4))]
+            lead = rand_scalar(rng, field, 5, nonzero=True)
+            B = UniPoly.from_roots(roots, field, leading=lead)
+            A, r, s = (rand_nonzero_poly_of(rng, field, 3, 5) for _ in range(3))
+            # d = deg A - deg B leaves the second entry B~ alone
+            _, y = homogenized_pair(A, B, r, s, one, A.degree - B.degree)
+            expected = UniPoly.const(lead, field)
+            for beta in roots:
+                expected = expected * (r - s * beta)
+            assert y == expected
 
 
 FIELDS_FOR_PROPERTIES = ("Q", "Q(sqrt2)", "Q(denominators)")
