@@ -12,13 +12,16 @@ Certificates are never trusted: ``verify_forward`` recomputes the
 derivative of the candidate element through the chain rules and
 ``verify_backward`` differentiates candidate assignments through the one
 rule of a defining equation.  Both take that derivative from
-``_derive_pair`` and decide it with one cross-multiplied polynomial
-identity, ``_compare``.
+``_derive_pair`` and decide it with ``_compare``: pairs equal term by
+term pass as they are, any others by one cross-multiplied polynomial
+identity.
 
 The presentation search decides each candidate by one exact division
 of the pair ``exactfield.homogenized_pair`` builds.  In front of it, two
 rules read off the poles of f reject, exactly, every candidate whose
-division must leave a remainder (``_pole_rules``).
+division must leave a remainder (``_pole_rules``).  When they would
+reject every catalog pair and the caller gave none, the catalog is not
+built (``_catalog_can_pass``).
 """
 
 from __future__ import annotations
@@ -288,11 +291,14 @@ def _derive_pair(rules, expr):
 def _compare(lhs, rhs, index, undefined):
     """The verdict on lhs = rhs for two pairs, from one cross-multiplied difference.
 
-    A zero rhs denominator fails with the witness ``undefined``; a nonzero
+    A zero rhs denominator fails with the witness ``undefined``.  Pairs
+    equal term by term pass without a product; otherwise a nonzero
     difference fails with it over the product of the denominators.
     """
     if rhs[1].is_zero():
         return VerifyResult(False, index, undefined)
+    if lhs[0] == rhs[0] and lhs[1] == rhs[1]:
+        return VerifyResult(True)
     diff = lhs[0] * rhs[1] - rhs[0] * lhs[1]
     if diff.is_zero():
         return VerifyResult(True)
@@ -371,11 +377,12 @@ def search_presentation(f, candidates=(), degree_bound=3):
     zeros and poles of f (plus 0 and 1) together with user-supplied
     (R, S) pairs.  A candidate is accepted only when its rule is a
     polynomial (``_presentation_rule``); ``_pole_rules`` first rejects
-    every candidate whose rule provably is not, and the whole search,
-    before the catalog is built, when no candidate's can be.  This is a
-    semi-decision: no bound on chain length exists, so an empty result
-    is *not* a refutation.  Every returned certificate has already
-    passed ``verify_forward``.
+    every candidate whose rule provably is not.  The search ends before
+    the catalog is built when no candidate's rule can be, or, with no
+    caller pairs, when no catalog pair's can (``_catalog_can_pass``).
+    This is a semi-decision: no bound on chain length exists, so an
+    empty result is *not* a refutation.  Every returned certificate has
+    already passed ``verify_forward``.
     """
     f = f if isinstance(f, DiffRatFunc) else DiffRatFunc.from_poly(f)
     base = f.base
@@ -385,7 +392,7 @@ def search_presentation(f, candidates=(), degree_bound=3):
     A = to_unipoly(f.num, name)
     B = to_unipoly(f.den, name)
     keep = _pole_rules(A, B)
-    if keep is None:
+    if keep is None or not (candidates or _catalog_can_pass(keep, A.field)):
         return None
     for r, s, w in _candidates(A, B, candidates, degree_bound):
         if not keep(r, s):
@@ -479,6 +486,19 @@ def _pole_rules(A, B):
         return beta is None or (r - s * beta).is_constant()
 
     return keep
+
+
+def _catalog_can_pass(keep, field):
+    """Whether ``keep`` may keep a catalog pair of ``_candidates``.
+
+    The pole rules see a catalog pair only through beta and whether S is
+    a constant.  R - beta S is a constant for no catalog pair unless
+    beta = 0, for (1, x - c), (1, x) and (1, x^2), or beta = 1, for
+    (x - c, x - d); with no pole every pair passes rule 1, and (x, 1)
+    rule 2 too.  So the three shapes below speak for the whole catalog.
+    """
+    x, one = UniPoly.x(field), UniPoly.const(1, field)
+    return any(keep(r, s) for r, s in ((x, one), (one, x), (x, x - one)))
 
 
 def _presentation_rule(A, B, r, s, w):

@@ -382,20 +382,39 @@ class DiffPoly:
         except ValueError:
             raise UnknownVariable(f"variable {name!r} not in ring {self.variables}") from None
 
+    def _same_ring(self, other):
+        # a ring's polynomials share their base object unless one was
+        # built apart; only then does the dataclass ``==`` run
+        return (
+            (self.base is other.base or self.base == other.base)
+            and self.variables == other.variables
+        )
+
     def _check_ring(self, other):
-        if self.base != other.base or self.variables != other.variables:
+        if not self._same_ring(other):
             raise FieldMismatch("differential polynomials from different rings")
 
     # -- arithmetic
 
     def _coerce(self, other):
         if isinstance(other, DiffPoly):
-            self._check_ring(other)
+            # the same base object and variables need no further check
+            if other.base is not self.base or other.variables != self.variables:
+                self._check_ring(other)
             return other
         try:
             return DiffPoly.const(self.base, self.variables, other)
         except FieldMismatch:
             return None
+
+    def _with_terms(self, terms):
+        """A polynomial of this ring from ``terms`` as they are: tuple keys
+        and nonzero coefficients, without ``__init__``'s pass over them."""
+        p = DiffPoly.__new__(DiffPoly)
+        p.base = self.base
+        p.variables = self.variables
+        p.terms = terms
+        return p
 
     def __add__(self, other):
         b = self._coerce(other)
@@ -405,12 +424,13 @@ class DiffPoly:
         for e, c in b.terms.items():
             cur = out.get(e)
             out[e] = c if cur is None else cur + c
-        return DiffPoly(self.base, self.variables, out)
+        return self._with_terms({e: c for e, c in out.items() if not c.is_zero()})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DiffPoly(self.base, self.variables, {e: -c for e, c in self.terms.items()})
+        # the negation of a nonzero coefficient is nonzero: the keys stay
+        return self._with_terms({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         b = self._coerce(other)
@@ -426,13 +446,17 @@ class DiffPoly:
         if b is None:
             return NotImplemented
         out = {}
+        one_variable = len(self.variables) == 1
         for e1, c1 in self.terms.items():
             for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
+                if one_variable:
+                    e = (e1[0] + e2[0],)
+                else:
+                    e = tuple(x + y for x, y in zip(e1, e2))
                 c = c1 * c2
                 cur = out.get(e)
                 out[e] = c if cur is None else cur + c
-        return DiffPoly(self.base, self.variables, out)
+        return self._with_terms({e: c for e, c in out.items() if not c.is_zero()})
 
     __rmul__ = __mul__
 
@@ -491,9 +515,7 @@ class DiffPoly:
         if isinstance(other, DiffRatFunc):
             return other == self
         if isinstance(other, DiffPoly):
-            if self.base != other.base or self.variables != other.variables:
-                return False
-            return self.terms == other.terms
+            return self._same_ring(other) and self.terms == other.terms
         b = self._coerce(other)
         if b is None:
             return NotImplemented

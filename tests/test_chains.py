@@ -765,6 +765,87 @@ class TestSharedDerivativeAgainstReference:
         assert str(new.witness) != str(ref.witness)
 
 
+def counting_products(monkeypatch):
+    """Record every DiffPoly product formed inside ``chains._compare``."""
+    products, inside = [], []
+    real_compare, real_mul = chains._compare, DiffPoly.__mul__
+
+    def compare(*args):
+        inside.append(True)
+        try:
+            return real_compare(*args)
+        finally:
+            inside.pop()
+
+    def mul(self, other):
+        if inside:
+            products.append((self, other))
+        return real_mul(self, other)
+
+    monkeypatch.setattr(chains, "_compare", compare)
+    monkeypatch.setattr(DiffPoly, "__mul__", mul)
+    return products
+
+
+class TestCompareShortcut:
+    """Pairs equal term by term pass ``_compare`` without a product."""
+
+    def test_equal_pairs_pass_without_a_product(self, monkeypatch):
+        products = counting_products(monkeypatch)
+        rng = random.Random(2020)
+        for base in (C, Kt):
+            for _ in range(10):
+                a, b = rand_poly(rng, base, ("y",)), rand_nonzero_poly(rng, base, ("y",))
+                # copies built apart: the shortcut compares terms, not objects
+                copy = tuple(DiffPoly(base, ("y",), dict(p.terms)) for p in (a, b))
+                assert chains._compare((a, b), copy, 3, "undefined").ok
+        assert products == []
+
+    def test_pairs_equal_only_as_fractions_cross_multiply(self, monkeypatch):
+        products = counting_products(monkeypatch)
+        rng = random.Random(2021)
+        for base in (C, Kt):
+            for _ in range(10):
+                a, b = rand_nonzero_poly(rng, base, ("y",)), rand_nonzero_poly(rng, base, ("y",))
+                del products[:]
+                assert chains._compare((2 * a, 2 * b), (a, b), 3, "undefined").ok
+                assert len(products) == 2
+                del products[:]
+                r = chains._compare((a + 1, b), (a, b), 3, "undefined")
+                assert not r.ok and r.index == 3
+                assert r.witness == DiffRatFunc(b, b * b)
+                assert len(products) >= 3
+                # equal numerators over different denominators differ
+                r = chains._compare((a, b), (a, 2 * b), 3, "undefined")
+                assert not r.ok and r.witness == DiffRatFunc(a * b, 2 * b * b)
+
+    def test_failing_certificates_keep_their_index_and_witness(self, monkeypatch):
+        products = counting_products(monkeypatch)
+        for text in lambert_corruption_texts()[1:]:
+            fx = parse_fixture_text(text)
+            args = fx.defining, list(fx.assignments), fx.chain
+            new, ref = verify_backward(*args), ref_verify_backward(*args)
+            assert not new.ok and new.index in (1, 2)
+            same_result(new, ref)
+        assert products
+        for flip in (0, 1):
+            r = verify_backward(*lambert_data(flip_rule=flip))
+            assert not r.ok and r.index == flip + 1
+        del products[:]
+        text = (FIXTURES / "undefined_rule_backward.pfaff").read_text(encoding="utf-8")
+        fx = parse_fixture_text(text)
+        r = verify_backward(fx.defining, list(fx.assignments), fx.chain)
+        assert (r.ok, r.index, r.witness) == (False, 1, "rule 1 is undefined at the assignments")
+        assert products == []
+
+    def test_a_degree_sweep_input_cross_multiplies_nothing(self, monkeypatch):
+        products = counting_products(monkeypatch)
+        compared = counting_calls(monkeypatch, "_compare")
+        doc, code = run(["classify-ode", "y' = (y-1)^9/(y*(y-1/3))"])
+        assert code == 0 and doc["verdicts"]["rationally_pfaffian"] == "yes"
+        assert len(compared) == 3 and products == []
+
+
 class TestSearchPresentation:
     def test_half_reciprocal_certificate(self):
         yv = DiffPoly.var(C, ("y",), "y")
@@ -1080,6 +1161,76 @@ class TestPoleRules:
                     assert _presentation_rule(A, B, r, s, w) is None
             assert kept == [(x * root + 1, x), (x * x * root - 2, x * x)]
         assert _presentation_rule(one, B, *with_w(x * root + 1, x)) == -(x ** 4)
+
+
+def search_both_ways(f, monkeypatch):
+    """The search, and the search with the catalog always built."""
+    result = search_presentation(f)
+    with monkeypatch.context() as m:
+        m.setattr(chains, "_catalog_can_pass", lambda keep, field: True)
+        full = search_presentation(f)
+    return result, full
+
+
+def certificate_key(cert):
+    return None if cert is None else (cert.r, cert.s, cert.p)
+
+
+class TestCatalogSkip:
+    """No catalog is built when the pole rules would keep none of its pairs."""
+
+    @pytest.mark.parametrize("text", ["y' = 1/(y-2)^3", "y' = (y-1)^4/y"])
+    def test_no_catalog_pair_can_pass(self, text, monkeypatch):
+        # beta = 2 keeps no catalog pair; beta = 0 keeps only non-constant
+        # S, which rule 2 (e = 1 - 4 + 2 < 0) rejects
+        catalogs = counting_calls(monkeypatch, "_candidates")
+        doc, code = run(["classify-ode", text])
+        assert code == 0 and catalogs == []
+        assert doc["verdicts"]["pfaffian"] == "unknown"
+        assert doc["reasons"]["pfaffian"].endswith("presentation search exhausted at degree bound 3")
+
+    @pytest.mark.parametrize("text, extra, h", [
+        ("y' = 2*(y+1/2)*(y-1/3)*(y+3/2)/y", [], "1/x"),
+        ("y' = (y^2-2)/(y-1) over Q(r: r^2-2)", [], "(x + r)/x"),
+        ("y' = 1/(y-r)^3 over Q(r: r^2-2)", ["--candidate", "r + 1/x"], "(r*x + 1)/x"),
+    ])
+    def test_a_catalog_that_can_hit_is_still_built(self, text, extra, h, monkeypatch):
+        catalogs = counting_calls(monkeypatch, "_candidates")
+        doc, code = run(["classify-ode", text] + extra)
+        assert code == 0 and len(catalogs) == 1
+        assert doc["verdicts"]["pfaffian"] == "yes"
+        assert doc["certificates"]["presentation"]["h"] == h
+
+    @pytest.mark.parametrize("name", list(RULE_FIELDS))
+    def test_the_skip_changes_no_result(self, name, monkeypatch):
+        # one pole location beta, drawn as 0, 1 or another scalar, and a
+        # numerator of any degree, so both rules and both outcomes occur
+        field = RULE_FIELDS[name]
+        base = BaseDiffField.constants(field)
+        rng = random.Random(f"catalog skip/{name}")
+        x = pk.UniPoly.x(field)
+        outcomes = {"skipped": 0, "built": 0, "hits": 0}
+        real = chains._catalog_can_pass
+
+        def recorded(keep, fld):
+            can = real(keep, fld)
+            outcomes["built" if can else "skipped"] += 1
+            return can
+
+        monkeypatch.setattr(chains, "_catalog_can_pass", recorded)
+        for k in range(24):
+            beta = [pk.AlgebraicScalar.rational(0), pk.AlgebraicScalar.rational(1),
+                    rand_scalar(rng, field, 3, nonzero=True)][k % 3]
+            B = (x - pk.UniPoly.const(beta, field)) ** rng.randint(1, 3)
+            A = rand_unipoly(rng, field, max_deg=rng.choice([0, 2, 5]))
+            if A.is_zero():
+                continue
+            A = A * rand_scalar(rng, field, 3, nonzero=True)
+            f = DiffRatFunc(*(diffalg.from_unipoly(p, base, ("y",), "y") for p in (A, B)))
+            result, full = search_both_ways(f, monkeypatch)
+            assert certificate_key(result) == certificate_key(full), (name, A, B)
+            outcomes["hits"] += result is not None
+        assert outcomes["skipped"] > 0 and outcomes["built"] > 0 and outcomes["hits"] > 0, outcomes
 
 
 class TestSerialization:

@@ -4,6 +4,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pfaffkit as pk
 from pfaffkit.diffalg import (
@@ -22,6 +24,7 @@ from pfaffkit.diffalg import (
 from pfaffkit.errors import (
     ArityMismatch,
     DenominatorVanishesIdentically,
+    FieldMismatch,
     NotMonic,
     UnknownVariable,
 )
@@ -553,3 +556,111 @@ class TestFractionNormalForm:
         )
         assert proc.returncode == 0, proc.stderr
         assert "y^9" in proc.stdout
+
+
+# Test-only copies of the term loops of DiffPoly's +, -, * and unary -
+# before operands of one ring skipped coercion and the results skipped a
+# second pass through ``__init__``.
+def ref_poly_add(a, b):
+    out = dict(a.terms)
+    for e, c in b.terms.items():
+        cur = out.get(e)
+        out[e] = c if cur is None else cur + c
+    return DiffPoly(a.base, a.variables, out)
+
+
+def ref_poly_neg(a):
+    return DiffPoly(a.base, a.variables, {e: -c for e, c in a.terms.items()})
+
+
+def ref_poly_sub(a, b):
+    return ref_poly_add(a, ref_poly_neg(b))
+
+
+def ref_poly_mul(a, b):
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            c = c1 * c2
+            cur = out.get(e)
+            out[e] = c if cur is None else cur + c
+    return DiffPoly(a.base, a.variables, out)
+
+
+ARITHMETIC_BASES = {
+    "Q": C,
+    "Q(sqrt2)": BaseDiffField.constants(pk.nf_new([-2, 0, 1])),
+    "Q(cbrt2)": BaseDiffField.constants(pk.nf_new([-2, 0, 0, 1])),
+    "Q(t)": Kt,
+}
+
+
+def stored_terms(p):
+    """The terms as stored, in order, after checking that none is zero."""
+    assert all(isinstance(e, tuple) and not c.is_zero() for e, c in p.terms.items())
+    return list(p.terms.items())
+
+
+class TestSameRingArithmetic:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from(sorted(ARITHMETIC_BASES)),
+        st.sampled_from([("y",), ("y1", "y2")]),
+        st.integers(0, 2 ** 32),
+    )
+    def test_operators_match_the_reference_term_loops(self, name, names, seed):
+        base = ARITHMETIC_BASES[name]
+        rng = random.Random(seed)
+        a = rand_poly(rng, base, names)
+        b = rand_poly(rng, base, names)
+        # shared terms make sums and products cancel, and a zero operand
+        # takes the empty loops
+        for b in (b, a, -a + b, a * b - b, DiffPoly.zero(base, names)):
+            for new, ref in (
+                (a + b, ref_poly_add(a, b)),
+                (a - b, ref_poly_sub(a, b)),
+                (a * b, ref_poly_mul(a, b)),
+                (-b, ref_poly_neg(b)),
+            ):
+                assert stored_terms(new) == stored_terms(ref), (a, b)
+                assert new.base is base and new.variables == names
+        assert (a - a).is_zero() and (a + (-a)).terms == {}
+
+    def test_mixed_rings_still_raise(self, sqrt2):
+        y = DiffPoly.var(C, ("y",), "y")
+        for other in (
+            DiffPoly.var(BaseDiffField.constants(sqrt2), ("y",), "y"),
+            DiffPoly.var(Kt, ("y",), "y"),
+            DiffPoly.var(C, ("y", "w"), "y"),
+            DiffPoly.var(C, ("w",), "w"),
+        ):
+            for op in (
+                lambda: y + other, lambda: y - other, lambda: y * other,
+                lambda: other + y, lambda: other * y,
+            ):
+                with pytest.raises(FieldMismatch):
+                    op()
+
+    def test_an_equal_base_built_apart_is_the_same_ring(self):
+        y = DiffPoly.var(BaseDiffField.constants(), ("y",), "y")
+        z = DiffPoly.var(BaseDiffField.constants(), ("y",), "y")
+        assert y.base is not z.base
+        assert (y * z).terms == {(2,): C.one()}
+        assert (y - z).is_zero() and y == z
+
+    def test_numbers_and_scalars_on_either_side(self, sqrt2):
+        base = BaseDiffField.constants(sqrt2)
+        y = DiffPoly.var(base, ("y",), "y")
+        r = sqrt2.gen()
+        for c in (2, Fraction(1, 3), r):
+            k = DiffPoly.const(base, ("y",), c)
+            assert y + c == c + y == y + k
+            assert y - c == y - k and c - y == k - y
+            assert y * c == c * y == y * k
+        assert (y * 0).terms == {} and (0 * y).terms == {}
+        assert (y + 1 - 1) == y and stored_terms(y - y) == []
+        t = Kt.gen()
+        u = DiffPoly.var(Kt, ("y",), "y")
+        assert u * t == t * u == DiffPoly(Kt, ("y",), {(1,): t})
+        assert (u + t - t) == u and (t - u) + u == t
