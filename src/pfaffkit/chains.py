@@ -16,12 +16,12 @@ rule of a defining equation.  Both take that derivative from
 term pass as they are, any others by one cross-multiplied polynomial
 identity.
 
-The presentation search decides each candidate by one exact division
-of the pair ``exactfield.homogenized_pair`` builds.  In front of it, two
-rules read off the poles of f reject, exactly, every candidate whose
-division must leave a remainder (``_pole_rules``).  When they would
-reject every catalog pair and the caller gave none, the catalog is not
-built (``_catalog_can_pass``).
+The presentation search reads off the poles of f = A/B whether some
+h = R/S presents y' = f(y) by one rule (``pole_case``): none does with
+two pole locations, or with one when deg A > deg B + 2; otherwise h = x
+(no pole) or h = beta + 1/x (one pole location beta) does.  Each pair
+is decided by one exact division of the pair
+``exactfield.homogenized_pair`` builds.
 """
 
 from __future__ import annotations
@@ -50,9 +50,7 @@ from .diffalg import (
     to_unipoly,
 )
 from .exactfield import (
-    AlgebraicScalar,
     UniPoly,
-    extract_linear_roots,
     homogenized_pair,
     poly_gcd,
     ratio_str,
@@ -371,18 +369,17 @@ class PresentationCertificate:
 
 
 def search_presentation(f, candidates=(), degree_bound=3):
-    """Look for a presentation certificate for y' = f(y) over constants.
+    """The presentation certificate for y' = f(y) over constants, or None when none exists.
 
-    Candidates h = R/S come from a fixed catalog built on the visible
-    zeros and poles of f (plus 0 and 1) together with user-supplied
-    (R, S) pairs.  A candidate is accepted only when its rule is a
-    polynomial (``_presentation_rule``); ``_pole_rules`` first rejects
-    every candidate whose rule provably is not.  The search ends before
-    the catalog is built when no candidate's rule can be, or, with no
-    caller pairs, when no catalog pair's can (``_catalog_can_pass``).
-    This is a semi-decision: no bound on chain length exists, so an
-    empty result is *not* a refutation.  Every returned certificate has
-    already passed ``verify_forward``.
+    ``pole_case`` decides whether some h = R/S presents f.  When one does,
+    the caller's (R, S) pairs, in lowest terms and of degree at most
+    ``degree_bound``, are tried first, each by the exact division of
+    ``_presentation_rule``; then h = x with no pole, or h = beta + 1/x
+    with one pole location beta, which always presents f.  None means
+    that no one-rule presentation exists; a one-rule presentation is only
+    one kind of chain, so None does *not* refute the existence of a
+    chain.  Every returned certificate has already passed
+    ``verify_forward``.
     """
     f = f if isinstance(f, DiffRatFunc) else DiffRatFunc.from_poly(f)
     base = f.base
@@ -391,114 +388,62 @@ def search_presentation(f, candidates=(), degree_bound=3):
     name = sole_variable(f, default="y")
     A = to_unipoly(f.num, name)
     B = to_unipoly(f.den, name)
-    keep = _pole_rules(A, B)
-    if keep is None or not (candidates or _catalog_can_pass(keep, A.field)):
+    reason, beta = pole_case(A, B)
+    if reason is not None:
         return None
-    for r, s, w in _candidates(A, B, candidates, degree_bound):
-        if not keep(r, s):
-            continue
-        p = _presentation_rule(A, B, r, s, w)
-        if p is None:
-            continue
-        cert = _build_certificate(base, r, s, p, f, name)
-        if cert is not None:
-            return cert
-    return None
-
-
-def _candidates(A, B, extra, degree_bound):
-    """The distinct non-constant (R, S, W) of the catalog for f = A/B, in search order."""
-    field = A.field
-    points = {AlgebraicScalar.rational(0).lift(field), AlgebraicScalar.rational(1).lift(field)}
-    for poly in (A, B):
-        roots, _ = extract_linear_roots(poly)
-        for root, _mult in roots:
-            points.add(root)
-    points = sorted(points, key=str)
-
-    x = UniPoly.x(field)
-    one = UniPoly.const(1, field)
-    catalog = [(x, one), (one, x)]
-    for c in points:
-        cpoly = UniPoly.const(c, field)
-        catalog.append((x + cpoly, one))
-        catalog.append((x - cpoly, one))
-        catalog.append((one, x - cpoly))
-    for c in points:
-        for d in points:
-            if c == d:
-                continue
-            catalog.append((x - UniPoly.const(c, field), x - UniPoly.const(d, field)))
-    catalog.append((x * x, one))
-    catalog.append((one, x * x))
-    # every catalog pair is coprime, (x - c, x - d) with c != d or a side
-    # 1: only the caller's pairs need reducing
-    for r, s in extra:
-        if not s.is_zero():
-            g = poly_gcd(r, s)
-            if g.degree > 0:
-                r, s = r // g, s // g
-        catalog.append((r, s))
-
-    seen = set()
-    for r, s in catalog:
+    for r, s in candidates:
         if s.is_zero():
             continue
-        key = (tuple(r.nums), r.den, tuple(s.nums), s.den)
-        if key in seen:
-            continue
-        seen.add(key)
+        g = poly_gcd(r, s)
+        if g.degree > 0:
+            r, s = r // g, s // g
         if max(r.degree, s.degree) > degree_bound:
             continue
         w = r.derivative() * s - r * s.derivative()
         # W = 0 means h is constant: not a presentation
-        if not w.is_zero():
-            yield r, s, w
+        p = None if w.is_zero() else _presentation_rule(A, B, r, s, w)
+        if p is not None:
+            return _build_certificate(base, r, s, p, f, name)
+    x, one = UniPoly.x(A.field), UniPoly.const(1, A.field)
+    r, s = (x, one) if beta is None else (x * beta + one, x)
+    p = _presentation_rule(A, B, r, s, r.derivative() * s - r * s.derivative())
+    if p is None:
+        raise InternalInvariant(
+            f"the pair ({r.str('x')}, {s.str('x')}) that the pole case names "
+            "leaves a remainder"
+        )
+    return _build_certificate(base, r, s, p, f, name)
 
 
-def _pole_rules(A, B):
-    """The test ``(r, s) -> bool`` that keeps each candidate whose rule may be a polynomial.
+def pole_case(A, B):
+    """Whether some h = R/S presents y' = A(y)/B(y), as (reason, beta).
 
-    None when no candidate's rule can be.  For f = A/B in lowest terms
-    and h = R/S in lowest terms, B~ = lc(B) prod_j (R - beta_j S), over
-    the roots beta_j of B in an algebraic closure, with multiplicity, is
-    coprime to A~ and to S;
-    it divides the dividend of ``homogenized_pair`` only when it is a
-    constant.  Rule 1: with two pole locations beta_1 != beta_2 both
-    R - beta_1 S and R - beta_2 S would be constants, so R and S would
-    be, and no h qualifies; with one, beta, R - beta S must be a
-    constant.  Rule 2: when e = m - n + 2 < 0, S divides the divisor but
-    not A~, which is a_n R^n mod S, so S must be a constant.
+    ``reason`` is None when one does, or else names why none does;
+    ``beta`` is the one pole location, None with no pole or with two.
+    For f = A/B and h both in lowest terms, B~ = lc(B) prod_j (R - beta_j S),
+    over the roots beta_j of B in an algebraic closure, with
+    multiplicity, is coprime to A~ and to S; it divides the dividend of
+    ``homogenized_pair`` only when it is a constant.  With two pole
+    locations beta_1 != beta_2, both R - beta_1 S and R - beta_2 S would
+    be constants, so h would be one.  When e = m - n + 2 < 0, S divides
+    the divisor but not A~, which is a_n R^n mod S, so S must be a
+    constant; with one pole location beta, R - beta S must be one too,
+    so again h would be a constant.  Otherwise h = x (no pole) gives
+    P = f, and h = beta + 1/x gives P = -x^(m+2) A(beta + 1/x) / lc(B),
+    a polynomial since e >= 0.
     """
     m = B.degree
-    beta = None
-    if m >= 1:
-        lead = B.leading()
-        # the mean of the roots: B has one root exactly when it is that one
-        beta = -B.coeff(m - 1) / (lead * m)
-        if B != (UniPoly.x(B.field) - beta) ** m * lead:
-            return None
-    constant_s = m - A.degree + 2 < 0
-
-    def keep(r, s):
-        if constant_s and not s.is_constant():
-            return False
-        return beta is None or (r - s * beta).is_constant()
-
-    return keep
-
-
-def _catalog_can_pass(keep, field):
-    """Whether ``keep`` may keep a catalog pair of ``_candidates``.
-
-    The pole rules see a catalog pair only through beta and whether S is
-    a constant.  R - beta S is a constant for no catalog pair unless
-    beta = 0, for (1, x - c), (1, x) and (1, x^2), or beta = 1, for
-    (x - c, x - d); with no pole every pair passes rule 1, and (x, 1)
-    rule 2 too.  So the three shapes below speak for the whole catalog.
-    """
-    x, one = UniPoly.x(field), UniPoly.const(1, field)
-    return any(keep(r, s) for r, s in ((x, one), (one, x), (x, x - one)))
+    if m == 0:
+        return None, None
+    lead = B.leading()
+    # the mean of the roots: B has one root exactly when it is that one
+    beta = -B.coeff(m - 1) / (lead * m)
+    if B != (UniPoly.x(B.field) - beta) ** m * lead:
+        return "two pole locations", None
+    e = m - A.degree + 2
+    if e < 0:
+        return f"one pole location and e = deg B - deg A + 2 = {e} < 0", None
+    return None, beta
 
 
 def _presentation_rule(A, B, r, s, w):

@@ -310,8 +310,8 @@ def cmd_search_presentation(args):
             base=str(spec.base),
             found=False,
             note=(
-                "the search is a semi-decision: an empty result does not "
-                "refute the existence of a chain"
+                "no one-rule presentation exists; that does not refute the "
+                "existence of a longer chain"
             ),
         )
         return doc, 0
@@ -356,8 +356,7 @@ def build_arg_parser():
 
     p = sub.add_parser("classify-ode", help="classify y' = f(y)")
     p.add_argument("equation")
-    p.add_argument("--bound", type=int, default=3, help="presentation search degree bound")
-    p.add_argument("--candidate", action="append", help="extra presentation h = R/S in x")
+    _presentation_options(p)
     p.set_defaults(func=cmd_classify_ode)
 
     p = sub.add_parser("classify-linear", help="classify a monic linear equation")
@@ -393,11 +392,21 @@ def build_arg_parser():
 
     p = sub.add_parser("search-presentation", help="look for a one-rule chain presentation")
     p.add_argument("equation")
-    p.add_argument("--bound", type=int, default=3)
-    p.add_argument("--candidate", action="append")
+    _presentation_options(p)
     p.set_defaults(func=cmd_search_presentation)
 
     return ap
+
+
+def _presentation_options(p):
+    p.add_argument(
+        "--bound", type=int, default=3,
+        help="largest degree of R and S in a --candidate pair; higher ones are skipped",
+    )
+    p.add_argument(
+        "--candidate", action="append",
+        help="a presentation h = R/S in x, tried before the one the poles of f give",
+    )
 
 
 def run(argv):

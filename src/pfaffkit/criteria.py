@@ -41,6 +41,7 @@ from .diffalg import (
 from .chains import (
     NoetherianSystem,
     PfaffianChain,
+    pole_case,
     rational_to_noetherian,
     search_presentation,
     verify_backward,
@@ -400,7 +401,8 @@ def classify_order_one(f, factored=None, degree_bound=3, candidates=()):
             payload=cert,
         )
         return Verdict(pfaffian=pfaffian, rationally_pfaffian=rationally)
-    stages.append(f"presentation search exhausted at degree bound {degree_bound}")
+    reason, _ = pole_case(to_unipoly(f.num, name), to_unipoly(f.den, name))
+    stages.append(f"no one-rule rational presentation: {reason}")
     return Verdict(pfaffian=unknown("; ".join(stages)), rationally_pfaffian=rationally)
 
 

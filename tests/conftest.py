@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import pfaffkit as pk
+from pfaffkit.criteria import FactoredRatFunc
 from pfaffkit.diffalg import DiffPoly
 
 
@@ -38,6 +39,34 @@ def rand_unipoly(rng, field, max_deg=4, span=5):
     deg = rng.randint(0, max_deg)
     coeffs = [rand_scalar(rng, field, span) for _ in range(deg + 1)]
     return pk.UniPoly(field, coeffs)
+
+
+# fields of the rule properties: Q, two integral fields, one whose integer
+# defining polynomial 6x^3 + 2x^2 - 3 has a leading coefficient, and two
+# more quadratics
+RULE_FIELDS = {
+    "Q": None,
+    "Q(sqrt2)": pk.nf_new([-2, 0, 1]),
+    "Q(cbrt2)": pk.nf_new([-2, 0, 0, 1]),
+    "Q(cubic denominators)": pk.nf_new([Fraction(-1, 2), 0, Fraction(1, 3), 1]),
+    "Q(sqrt3)": pk.nf_new([-3, 0, 1]),
+    "Q(i)": pk.nf_new([1, 0, 1]),
+}
+
+
+def rand_one_pole(rng, field):
+    """A factored f with one pole location of multiplicity m in 1..3 and at
+    most m + 2 zeros (e = m - n + 2 >= 0), so that h = beta + 1/x presents it."""
+    beta = rand_scalar(rng, field, 3)
+    m = rng.randint(1, 3)
+    zeros = {}
+    for _ in range(rng.randint(0, m + 2)):
+        a = rand_scalar(rng, field, 3)
+        if a != beta:
+            zeros[a] = zeros.get(a, 0) + 1
+    return FactoredRatFunc(
+        rand_scalar(rng, field, 3, nonzero=True), tuple(zeros.items()), ((beta, m),)
+    )
 
 
 def rand_diffpoly(rng, base, variables, max_deg=3, max_terms=4, span=4):

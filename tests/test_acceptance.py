@@ -47,7 +47,7 @@ from pfaffkit.groups import (
 )
 from pfaffkit.parser import parse_fixture_text, parse_ode_text
 
-from conftest import rand_fraction, rand_scalar
+from conftest import RULE_FIELDS, rand_fraction, rand_one_pole, rand_scalar
 from test_criteria import partial_fraction_oracle
 from test_diffalg import riccati_oracle
 
@@ -304,8 +304,6 @@ def test_criterion_9_noetherianization_soundness():
 def test_criterion_10_consistency_guard():
     field = pk.nf_new([-2, 0, 1], name="r")
     rng = random.Random(1000)
-    base_q = BaseDiffField.constants()
-    base_r = BaseDiffField.constants(field)
     th = field.gen()
 
     corpus = [
@@ -337,10 +335,13 @@ def test_criterion_10_consistency_guard():
             tuple((z, 1) for z in zeros),
             tuple((p, 1) for p in poles),
         ))
+    # the closed-form property's draws: one pole location with e >= 0, every rule field
+    corpus += [rand_one_pole(random.Random(seed), field)
+               for field in RULE_FIELDS.values() for seed in range(3)]
     contradictions = 0
     for f in corpus:
         refuted = not_pfaffian_by_degree_theorem(f).is_no
-        base = base_r if f.leading.field is not None else base_q
+        base = BaseDiffField.constants(f.leading.field)
         cert = search_presentation(f.as_diffratfunc(base), degree_bound=3)
         if cert is not None:
             assert verify_forward(cert.chain, cert.element, f.as_diffratfunc(base)).ok

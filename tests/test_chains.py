@@ -8,16 +8,17 @@ from hypothesis import strategies as st
 
 import pfaffkit as pk
 import pfaffkit.chains as chains
+import pfaffkit.cli as cli
+import pfaffkit.criteria as criteria
 import pfaffkit.diffalg as diffalg
 import pfaffkit.exactfield as exactfield
 from pfaffkit.chains import (
     PfaffianChain,
-    _candidates,
-    _pole_rules,
     _presentation_rule,
     chain_validate,
     combine,
     invert_element,
+    pole_case,
     rational_to_noetherian,
     search_presentation,
     total_derivative,
@@ -25,6 +26,7 @@ from pfaffkit.chains import (
     verify_forward,
 )
 from pfaffkit.cli import run
+from pfaffkit.criteria import classify_order_one
 from pfaffkit.diffalg import (
     BaseDiffField,
     DiffPoly,
@@ -38,6 +40,7 @@ from pfaffkit.errors import (
     ArityMismatch,
     ChainMismatch,
     FieldMismatch,
+    InternalInvariant,
     MixedKinds,
     NonConstantBase,
     TriangularityViolated,
@@ -47,9 +50,11 @@ from pfaffkit.errors import (
 from pfaffkit.parser import parse_fixture_text, parse_ode_text
 
 from conftest import (
+    RULE_FIELDS,
     rand_diffpoly,
     rand_fraction,
     rand_nonzero_poly,
+    rand_one_pole,
     rand_poly,
     rand_scalar,
     rand_unipoly,
@@ -887,30 +892,35 @@ class TestSearchPresentation:
             search_presentation(f)
 
     def test_user_candidates_are_tried(self):
-        # y' = -2/y^3 is solved through h = 1/x^2 ... build an f whose
-        # certificate needs a user-supplied candidate of degree 3
+        # y' = 1/(3 y^2) is presented by the closed form h = 1/x and by the
+        # caller's h = 1/x^3, with rule -x^10/9; the caller's pair comes first
         yv = DiffPoly.var(C, ("y",), "y")
         f = DiffRatFunc(DiffPoly.const(C, ("y",), 1), 3 * yv ** 2)
         x = pk.UniPoly.x(None)
         cert = search_presentation(f, candidates=[(pk.UniPoly.const(1, None), x ** 3)])
-        # cube-root style equation: the catalog's 1/x^2 does not verify but
-        # the supplied 1/x^3 pair may; accept either a None or verified cert
-        if cert is not None:
-            assert verify_forward(cert.chain, cert.element, f).ok
+        assert cert.h_str() == "1/x^3" and cert.p == x ** 10 * Fraction(-1, 9)
+        assert verify_forward(cert.chain, cert.element, f).ok
+        assert search_presentation(f).h_str() == "1/x"
+
+    def test_caller_pairs_are_reduced_and_bounded(self, monkeypatch):
+        # (x^3, x^4) is h = 1/x in lowest terms; (1, x^4) is over the bound
+        yv = DiffPoly.var(C, ("y",), "y")
+        f = DiffRatFunc(DiffPoly.const(C, ("y",), 1), 3 * yv ** 2)
+        x, one = pk.UniPoly.x(None), pk.UniPoly.const(1, None)
+        calls = counting_calls(monkeypatch, "_presentation_rule")
+        cert = search_presentation(f, candidates=[(one, x ** 4), (x ** 3, x ** 4)])
+        assert [args[2:4] for args in calls] == [(one, x)] and cert.h_str() == "1/x"
 
     def test_random_certificates_reverify(self):
-        # build f so that a presentation exists by construction: pick P and
-        # h = 1/x, then f = (P * W) / S^2 evaluated back through h inverse;
-        # simpler: take f rational whose search succeeds and check the
-        # certificate re-verification invariant on the way out
+        # one pole location at 0 and e >= 0: the closed form always presents
         rng = random.Random(13)
         yv = DiffPoly.var(C, ("y",), "y")
         for _ in range(20):
             c = rand_fraction(rng, 4, nonzero=True)
             f = DiffRatFunc(DiffPoly.const(C, ("y",), c), yv ** rng.randint(1, 2))
             cert = search_presentation(f)
-            if cert is not None:
-                assert verify_forward(cert.chain, cert.element, f).ok
+            assert cert.h_str() == "1/x"
+            assert verify_forward(cert.chain, cert.element, f).ok
 
     def test_exact_division_rule_matches_reduced_quotient(self):
         # the search divides the unreduced pair of homogenized_pair; the
@@ -953,10 +963,17 @@ class TestSearchPresentation:
                     assert _presentation_rule(A, B, r2, s2, w2) == reference_rule(A, B, r2, s2, w2)
 
     def test_exact_rule_builds_no_fraction_and_runs_no_gcd(self, monkeypatch):
-        # every catalog candidate of the input, straight to the exact rule
+        # shifted pairs on the zeros and poles of f, plus 0 and 1, straight
+        # to the exact rule
         f = parse_ode_text("y' = (y - r)*(y + 1)/(y*(y - 2)) over Q(r: r^2-2)").f
         A, B = (to_unipoly(p, sole_variable(f)) for p in (f.num, f.den))
-        tried = list(_candidates(A, B, (), 3))
+        field = A.field
+        x, one = pk.UniPoly.x(field), pk.UniPoly.const(1, field)
+        points = [x - c for c in (0, 1, 2, -1)] + [x - field.gen()]
+        pairs = [(x, one), (one, x), (x * x, one), (one, x * x)]
+        pairs += [(p, one) for p in points] + [(one, p) for p in points]
+        pairs += [(p, q) for p in points for q in points if p != q]
+        tried = [with_w(r, s) for r, s in pairs]
         counts = {"RatFunc": 0, "gcd": 0}
 
         def counting(key, real):
@@ -972,19 +989,6 @@ class TestSearchPresentation:
                     monkeypatch.setattr(module, gcd, counting("gcd", getattr(module, gcd)))
         assert all(_presentation_rule(A, B, r, s, w) is None for r, s, w in tried)
         assert len(tried) > 20 and counts == {"RatFunc": 0, "gcd": 0}
-
-
-# fields of the rule properties: Q, two integral fields, one whose integer
-# defining polynomial 6x^3 + 2x^2 - 3 has a leading coefficient, and two
-# more quadratics
-RULE_FIELDS = {
-    "Q": None,
-    "Q(sqrt2)": pk.nf_new([-2, 0, 1]),
-    "Q(cbrt2)": pk.nf_new([-2, 0, 0, 1]),
-    "Q(cubic denominators)": pk.nf_new([Fraction(-1, 2), 0, Fraction(1, 3), 1]),
-    "Q(sqrt3)": pk.nf_new([-3, 0, 1]),
-    "Q(i)": pk.nf_new([1, 0, 1]),
-}
 
 
 def with_w(r, s):
@@ -1005,10 +1009,10 @@ def counting_calls(monkeypatch, name):
 
 
 def check_rejections(field, rng):
-    """Every candidate the pole rules reject, for a random f in lowest terms,
-    fails the exact rule; returns how many they rejected.  Half the
-    denominators have one pole location, where rule 1 keeps candidates."""
-    A, B = rand_unipoly(rng, field, max_deg=4), rand_unipoly(rng, field, max_deg=3)
+    """When the pole case says no h presents a random f in lowest terms,
+    every random caller pair fails the exact rule; returns how many
+    pairs it checked.  Half the denominators have one pole location."""
+    A, B = rand_unipoly(rng, field, max_deg=5), rand_unipoly(rng, field, max_deg=3)
     if rng.random() < 0.5:
         x = pk.UniPoly.x(field)
         B = (x - rand_scalar(rng, field, 3)) ** rng.randint(1, 3) * rand_scalar(rng, field, 3)
@@ -1016,31 +1020,42 @@ def check_rejections(field, rng):
         B = pk.UniPoly.const(1, field)
     g = pk.poly_gcd(A, B)
     A, B = A // g, B // g
-    pairs = [(rand_unipoly(rng, field, max_deg=2), rand_unipoly(rng, field, max_deg=2))
-             for _ in range(4)]
-    # the catalog brings the random pairs to lowest terms
-    keep = _pole_rules(A, B)
-    rejected = 0
-    for r, s, w in _candidates(A, B, pairs, 3):
-        if keep is None or not keep(r, s):
+    reason, beta = pole_case(A, B)
+    if reason is None:
+        return 0
+    assert beta is None
+    checked = 0
+    for _ in range(4):
+        r, s = rand_unipoly(rng, field, max_deg=2), rand_unipoly(rng, field, max_deg=2)
+        if s.is_zero():
+            continue
+        g = pk.poly_gcd(r, s)
+        r, s, w = with_w(r // g, s // g)
+        if not w.is_zero():
             assert _presentation_rule(A, B, r, s, w) is None
-            rejected += 1
-    return rejected
+            checked += 1
+    return checked
 
 
 class TestPoleRules:
-    """The exact rejections by the poles of f in front of the exact rule."""
+    """The case the poles of f name: which h = R/S can present y' = f(y)."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from(sorted(RULE_FIELDS)), st.integers(0, 2 ** 32))
     def test_a_rejection_is_never_overturned(self, name, seed):
         check_rejections(RULE_FIELDS[name], random.Random(seed))
 
+    def test_the_none_cases_are_drawn(self):
+        checked = sum(check_rejections(field, random.Random(f"{name}/{k}"))
+                      for name, field in RULE_FIELDS.items() for k in range(8))
+        assert checked >= 40
+
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from(sorted(RULE_FIELDS)), st.integers(0, 2 ** 32))
     def test_a_hit_is_never_rejected(self, name, seed):
         # a Moebius h = R/S and a rule P give f = (P W / S^2)(h^-1), whose
-        # presentation through (R, S) has the rule P
+        # presentation through (R, S) has the rule P; with one pole
+        # location beta, R - beta S is a constant
         field = RULE_FIELDS[name]
         rng = random.Random(seed)
         x = pk.UniPoly.x(field)
@@ -1054,33 +1069,25 @@ class TestPoleRules:
         f = substitute_cleared(g.num, g.den, x * d - b, pk.UniPoly.const(a, field) - x * c, d=0)
         A, B = f.num, f.den
         assert _presentation_rule(A, B, r, s, w) == P
-        keep = _pole_rules(A, B)
-        assert keep is not None and keep(r, s)
-
-    def test_catalog_hits_survive(self):
-        # y' = 1/(2y) has the hit h = 1/x; the rules keep every hit
-        x = pk.UniPoly.x(None)
-        one = pk.UniPoly.const(1, None)
-        A, B = one, x * 2
-        keep = _pole_rules(A, B)
-        hits = [(r, s, w) for r, s, w in _candidates(A, B, (), 3)
-                if _presentation_rule(A, B, r, s, w) is not None]
-        assert hits and all(keep(r, s) for r, s, w in hits)
+        reason, beta = pole_case(A, B)
+        assert reason is None
+        assert beta is None or (r - s * beta).is_constant()
 
     def test_missing_powers_of_s_are_a_rejection(self):
         # f = y^3 + 1 and h = 1/x: P = -(1 + x^3)/x, so S^(-e) = x does not
-        # divide the dividend 1 + x^3 (rule 2)
+        # divide the dividend 1 + x^3 (rule 2); with no pole h = x presents f
         x = pk.UniPoly.x(None)
         one = pk.UniPoly.const(1, None)
         A, B = x ** 3 + 1, one
         assert _presentation_rule(A, B, *with_w(one, x)) is None
-        keep = _pole_rules(A, B)
-        assert keep(one, x) is False and keep(x + 1, one) is True
+        assert pole_case(A, B) == (None, None)
+        assert _presentation_rule(A, B, *with_w(x + 1, one)) is not None
 
     @pytest.mark.parametrize("name", list(RULE_FIELDS))
     def test_rule_two_rejects_every_non_constant_s(self, name):
         # deg A > deg B + 2: S divides the divisor but not A~ = a_n R^n mod S,
-        # for a denominator with no pole and for one with one pole location
+        # for a denominator with no pole and for one with one pole location;
+        # with one pole location the case is then "none"
         field = RULE_FIELDS[name]
         rng = random.Random(f"rule two/{name}")
         x = pk.UniPoly.x(field)
@@ -1090,9 +1097,13 @@ class TestPoleRules:
             m = k % 3
             B = (x - beta) ** m * rand_scalar(rng, field, 3, nonzero=True)
             A = x ** (m + 3) * rand_scalar(rng, field, 3, nonzero=True) + rand_unipoly(rng, field)
-            if not pk.poly_gcd(A, B).is_constant():
+            if A.degree != m + 3 or not pk.poly_gcd(A, B).is_constant():
                 continue
-            keep = _pole_rules(A, B)
+            reason, _ = pole_case(A, B)
+            # with no pole, rule 2 alone leaves h = x
+            assert (reason is None) == (m == 0)
+            if m:
+                assert reason == "one pole location and e = deg B - deg A + 2 = -1 < 0"
             r, s = rand_unipoly(rng, field, max_deg=2), rand_unipoly(rng, field, max_deg=2)
             if s.is_zero():
                 continue
@@ -1100,137 +1111,181 @@ class TestPoleRules:
             r, s, w = with_w(r // g, s // g)
             if s.is_constant() or w.is_zero():
                 continue
-            assert keep(r, s) is False
             assert _presentation_rule(A, B, r, s, w) is None
             rejected += 1
-            if m == 0:
-                # with no pole, rule 2 alone decides: a constant S is kept
-                assert keep(r, pk.UniPoly.const(2, field)) is True
         assert rejected >= 10
 
     def test_cancellation_at_equal_degrees_is_a_rule_one_rejection(self):
         # B(1) = 0 and lc R = lc S, so B~ = R^2 - S^2 = -(2x + 5) drops a
-        # degree; x^2 - 1 has two pole locations, so no candidate is kept
+        # degree; x^2 - 1 has two pole locations, so no h qualifies
         x = pk.UniPoly.x(None)
         one = pk.UniPoly.const(1, None)
         A, B = one, x * x - 1
         assert _presentation_rule(A, B, *with_w(x + 2, x + 3)) is None
-        assert _pole_rules(A, B) is None
+        assert pole_case(A, B) == ("two pole locations", None)
 
     @pytest.mark.parametrize("n", [9, 120])
     def test_degree_sweep_inputs_never_reach_the_exact_rule(self, n, monkeypatch):
         argv = ["classify-ode", f"y' = (y-1)^{n}/(y*(y-1/3))"]
         calls = counting_calls(monkeypatch, "_presentation_rule")
-        catalogs = counting_calls(monkeypatch, "_candidates")
         doc, code = run(argv)
-        assert code == 0 and calls == [] and catalogs == []
+        assert code == 0 and calls == []
         assert doc["verdicts"]["pfaffian"] == "unknown"
         reason = doc["reasons"]["pfaffian"]
-        assert reason.endswith("presentation search exhausted at degree bound 3")
-        # the exact rule alone gives the same envelope
-        monkeypatch.setattr(chains, "_pole_rules", lambda A, B: lambda r, s: True)
-        exact_doc, exact_code = run(argv)
-        assert len(calls) > 0
-        assert (exact_doc, exact_code) == (doc, code)
+        assert reason.endswith("no one-rule rational presentation: two pole locations")
+        # caller pairs are not tried either, and the exact rule agrees
+        with_pairs, pairs_code = run(argv + ["--candidate", "1/x", "--candidate", "(x-1)/x"])
+        assert calls == []
+        assert (with_pairs, pairs_code) == (doc, code)
+        f = parse_ode_text(argv[1]).f
+        A, B = (to_unipoly(p, "y") for p in (f.num, f.den))
+        x, one = pk.UniPoly.x(None), pk.UniPoly.const(1, None)
+        assert _presentation_rule(A, B, *with_w(one, x)) is None
+        assert _presentation_rule(A, B, *with_w(x - 1, x)) is None
 
     @pytest.mark.parametrize("text", [
         "y' = 1/(y^2-2)",
         "y' = 1/((y-1)^2*(y-2))",
         "y' = (y-1)^5/(y*(y-1/3))",
     ])
-    def test_two_pole_locations_build_no_catalog(self, text, monkeypatch):
-        catalogs = counting_calls(monkeypatch, "_candidates")
-        assert search_presentation(parse_ode_text(text).f) is None
-        assert catalogs == []
+    def test_two_pole_locations_try_no_pair(self, text, monkeypatch):
+        calls = counting_calls(monkeypatch, "_presentation_rule")
+        x, one = pk.UniPoly.x(None), pk.UniPoly.const(1, None)
+        f = parse_ode_text(text).f
+        assert search_presentation(f, candidates=[(one, x), (x + 1, x)]) is None
+        assert calls == []
 
     def test_one_pole_location_keeps_exactly_the_shifted_candidates(self):
-        # over Q(sqrt2) with B = (x - r)^2: kept exactly when R - r S is a
-        # constant; h = r + 1/x is the hit of y' = 1/(y - r)^2
+        # over Q(sqrt2) with B = (x - r)^2: a pair whose R - r S is not a
+        # constant fails the exact rule; h = r - 2/x^2 passes, and as the
+        # caller's pair it wins over the closed form h = r + 1/x
         field = RULE_FIELDS["Q(sqrt2)"]
+        base = BaseDiffField.constants(field)
         x, one, root = pk.UniPoly.x(field), pk.UniPoly.const(1, field), field.gen()
         B = (x - root) ** 2
-        extra = [(x * root + 1, x), (x * x * root - 2, x * x), (x, x - root), (x * root + 3, one)]
+        unshifted = [(x, x - root), (x * root + 3, one), (one, x), (x + 1, x)]
         for A in (one, x + 1, x * x * x - 3):
-            keep = _pole_rules(A, B)
-            kept = []
-            for r, s, w in _candidates(A, B, extra, 3):
-                assert keep(r, s) == (r - s * root).is_constant()
-                if keep(r, s):
-                    kept.append((r, s))
-                else:
-                    assert _presentation_rule(A, B, r, s, w) is None
-            assert kept == [(x * root + 1, x), (x * x * root - 2, x * x)]
+            assert pole_case(A, B) == (None, root)
+            for r, s in unshifted:
+                assert _presentation_rule(A, B, *with_w(r, s)) is None
+            f = DiffRatFunc(*(diffalg.from_unipoly(p, base, ("y",), "y") for p in (A, B)))
+            cert = search_presentation(f)
+            assert (cert.r, cert.s) == (x * root + 1, x)
+            cert = search_presentation(f, candidates=unshifted + [(x * x * root - 2, x * x)])
+            assert (cert.r, cert.s) == (x * x * root - 2, x * x)
         assert _presentation_rule(one, B, *with_w(x * root + 1, x)) == -(x ** 4)
 
 
-def search_both_ways(f, monkeypatch):
-    """The search, and the search with the catalog always built."""
-    result = search_presentation(f)
-    with monkeypatch.context() as m:
-        m.setattr(chains, "_catalog_can_pass", lambda keep, field: True)
-        full = search_presentation(f)
-    return result, full
+def sympy_presents(field, fr, cert):
+    """Whether sympy finds h'(x) P(x) = f(h(x)) for the factored f, with the
+    field generator as a symbol reduced by its defining polynomial."""
+    sympy = pytest.importorskip("sympy")
+    x, theta = sympy.symbols("x theta")
+
+    def value(coords):
+        return sum(sympy.Rational(c.numerator, c.denominator) * theta ** j
+                   for j, c in enumerate(coords))
+
+    def poly(p):
+        return sum(value(c.coords) * x ** i for i, c in enumerate(p.coeffs))
+
+    h = poly(cert.r) / poly(cert.s)
+    f_of_h = value(fr.leading.coords)
+    for a, k in fr.zeros:
+        f_of_h *= (h - value(a.coords)) ** k
+    for b, k in fr.poles:
+        f_of_h /= (h - value(b.coords)) ** k
+    num = sympy.expand(sympy.numer(sympy.together(sympy.diff(h, x) * poly(cert.p) - f_of_h)))
+    if field is not None:
+        num = sympy.rem(num, value(field.minpoly), theta)
+    return sympy.expand(num) == 0
 
 
-def certificate_key(cert):
-    return None if cert is None else (cert.r, cert.s, cert.p)
+class TestClosedForm:
+    """One pole location with e >= 0 is presented by h = beta + 1/x."""
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(RULE_FIELDS)), st.integers(0, 2 ** 32))
+    def test_one_pole_location_is_presented_by_the_closed_form(self, name, seed):
+        field = RULE_FIELDS[name]
+        fr = rand_one_pole(random.Random(seed), field)
+        verdict = classify_order_one(fr.as_diffratfunc(BaseDiffField.constants(field)))
+        assert verdict.pfaffian.is_yes
+        cert = verdict.pfaffian.payload
+        x = pk.UniPoly.x(field)
+        assert (cert.r, cert.s) == (x * fr.poles[0][0] + 1, x)
+        assert sympy_presents(field, fr, cert)
 
-class TestCatalogSkip:
-    """No catalog is built when the pole rules would keep none of its pairs."""
-
-    @pytest.mark.parametrize("text", ["y' = 1/(y-2)^3", "y' = (y-1)^4/y"])
-    def test_no_catalog_pair_can_pass(self, text, monkeypatch):
-        # beta = 2 keeps no catalog pair; beta = 0 keeps only non-constant
-        # S, which rule 2 (e = 1 - 4 + 2 < 0) rejects
-        catalogs = counting_calls(monkeypatch, "_candidates")
-        doc, code = run(["classify-ode", text])
-        assert code == 0 and catalogs == []
-        assert doc["verdicts"]["pfaffian"] == "unknown"
-        assert doc["reasons"]["pfaffian"].endswith("presentation search exhausted at degree bound 3")
-
-    @pytest.mark.parametrize("text, extra, h", [
-        ("y' = 2*(y+1/2)*(y-1/3)*(y+3/2)/y", [], "1/x"),
-        ("y' = (y^2-2)/(y-1) over Q(r: r^2-2)", [], "(x + r)/x"),
-        ("y' = 1/(y-r)^3 over Q(r: r^2-2)", ["--candidate", "r + 1/x"], "(r*x + 1)/x"),
+    @pytest.mark.parametrize("text, extra, h, p", [
+        ("y' = 1/(y-2)^3", [], "(2*x + 1)/x", "-x^5"),
+        ("y' = 1/(y-r)^2 over Q(r: r^2-2)", [], "(r*x + 1)/x", "-x^4"),
+        ("y' = 2*(y+1/2)*(y-1/3)*(y+3/2)/y", [], "1/x", "1/2*x^3 - 1/6*x^2 - 10/3*x - 2"),
+        ("y' = (y^2-2)/(y-1) over Q(r: r^2-2)", [], "(x + 1)/x", "x^3 - 2*x^2 - x"),
+        ("y' = 1/(y-r)^3 over Q(r: r^2-2)", ["--candidate", "r - 1/x"], "(r*x - 1)/x", "-x^5"),
     ])
-    def test_a_catalog_that_can_hit_is_still_built(self, text, extra, h, monkeypatch):
-        catalogs = counting_calls(monkeypatch, "_candidates")
+    def test_one_division_gives_the_certificate(self, text, extra, h, p, monkeypatch):
+        # the closed form, or a caller pair that hits before it
+        calls = counting_calls(monkeypatch, "_presentation_rule")
         doc, code = run(["classify-ode", text] + extra)
-        assert code == 0 and len(catalogs) == 1
+        assert code == 0 and len(calls) == 1
         assert doc["verdicts"]["pfaffian"] == "yes"
-        assert doc["certificates"]["presentation"]["h"] == h
+        assert doc["certificates"]["presentation"] == {"h": h, "p": p}
+
+    @pytest.mark.parametrize("text, reason", [
+        ("y' = (y-1)^9/(y*(y-1/3))", "two pole locations"),
+        ("y' = (y-1)^4/y", "one pole location and e = deg B - deg A + 2 = -1 < 0"),
+    ])
+    def test_the_none_cases_name_themselves(self, text, reason):
+        doc, code = run(["classify-ode", text])
+        assert code == 0 and doc["verdicts"]["pfaffian"] == "unknown"
+        assert doc["reasons"]["pfaffian"].endswith(f"no one-rule rational presentation: {reason}")
+
+    def test_a_remainder_on_the_closed_form_is_an_invariant_breach(self, monkeypatch):
+        monkeypatch.setattr(chains, "_presentation_rule", lambda A, B, r, s, w: None)
+        with pytest.raises(InternalInvariant):
+            search_presentation(parse_ode_text("y' = 1/(y-2)^3").f)
+        doc, code = run(["classify-ode", "y' = 1/(y-2)^3"])
+        assert code == 2 and doc["error"]["kind"] == "internal"
 
     @pytest.mark.parametrize("name", list(RULE_FIELDS))
-    def test_the_skip_changes_no_result(self, name, monkeypatch):
+    def test_the_pole_case_decides_the_result(self, name):
         # one pole location beta, drawn as 0, 1 or another scalar, and a
-        # numerator of any degree, so both rules and both outcomes occur
+        # numerator of any degree, so both cases occur
         field = RULE_FIELDS[name]
         base = BaseDiffField.constants(field)
-        rng = random.Random(f"catalog skip/{name}")
+        rng = random.Random(f"pole case/{name}")
         x = pk.UniPoly.x(field)
-        outcomes = {"skipped": 0, "built": 0, "hits": 0}
-        real = chains._catalog_can_pass
-
-        def recorded(keep, fld):
-            can = real(keep, fld)
-            outcomes["built" if can else "skipped"] += 1
-            return can
-
-        monkeypatch.setattr(chains, "_catalog_can_pass", recorded)
+        outcomes = {"none": 0, "hits": 0}
         for k in range(24):
             beta = [pk.AlgebraicScalar.rational(0), pk.AlgebraicScalar.rational(1),
                     rand_scalar(rng, field, 3, nonzero=True)][k % 3]
             B = (x - pk.UniPoly.const(beta, field)) ** rng.randint(1, 3)
-            A = rand_unipoly(rng, field, max_deg=rng.choice([0, 2, 5]))
-            if A.is_zero():
-                continue
+            d = rng.choice([0, 2, 5])
+            A = x ** d + (rand_unipoly(rng, field, max_deg=d - 1) if d else 0)
             A = A * rand_scalar(rng, field, 3, nonzero=True)
             f = DiffRatFunc(*(diffalg.from_unipoly(p, base, ("y",), "y") for p in (A, B)))
-            result, full = search_both_ways(f, monkeypatch)
-            assert certificate_key(result) == certificate_key(full), (name, A, B)
-            outcomes["hits"] += result is not None
-        assert outcomes["skipped"] > 0 and outcomes["built"] > 0 and outcomes["hits"] > 0, outcomes
+            cert = search_presentation(f)
+            fn, fd = (to_unipoly(p, "y") for p in (f.num, f.den))
+            # a common factor may leave no pole, and then h = x presents f
+            assert (cert is None) == (0 < fd.degree < fn.degree - 2), (name, A, B)
+            if cert is not None:
+                assert verify_forward(cert.chain, cert.element, f).ok
+            outcomes["none" if cert is None else "hits"] += 1
+        assert outcomes["none"] > 0 and outcomes["hits"] > 0, outcomes
+
+    def test_only_criteria_splits_the_roots(self, monkeypatch):
+        # only extract_factored splits A and B; the search reads the poles
+        # off B without a root
+        calls = []
+        real = exactfield.extract_linear_roots
+        for module in (exactfield, diffalg, chains, criteria, cli):
+            if hasattr(module, "extract_linear_roots"):
+                def recorded(p, _module=module.__name__):
+                    calls.append(_module.rsplit(".", 1)[1])
+                    return real(p)
+                monkeypatch.setattr(module, "extract_linear_roots", recorded)
+        doc, code = run(["classify-ode", "y' = (y-2)*(y-3)/(y*(y-1)*(y+5))"])
+        assert code == 0 and calls == ["criteria", "criteria"]
 
 
 class TestSerialization:

@@ -31,7 +31,7 @@ from pfaffkit.errors import (
 )
 from pfaffkit.groups import GL, SL
 
-from conftest import rand_scalar, solve_exact
+from conftest import RULE_FIELDS, rand_one_pole, rand_scalar, solve_exact
 
 C = BaseDiffField.constants()
 Kt = BaseDiffField.rational_functions(var="t")
@@ -460,10 +460,11 @@ class TestConsistencyGuard:
             corpus.append(FactoredRatFunc(
                 leading=lead, zeros=simple(*zeros), poles=simple(*poles)
             ))
-        base_q = BaseDiffField.constants()
-        base_r = BaseDiffField.constants(sqrt2)
+        # the closed-form property's draws: one pole location with e >= 0, every rule field
+        corpus += [rand_one_pole(random.Random(seed), field)
+                   for field in RULE_FIELDS.values() for seed in range(3, 6)]
         for f in corpus:
             refuted = not_pfaffian_by_degree_theorem(f).is_no
-            base = base_r if f.leading.field is not None else base_q
+            base = BaseDiffField.constants(f.leading.field)
             cert = search_presentation(f.as_diffratfunc(base), degree_bound=3)
             assert not (refuted and cert is not None), str(f)
