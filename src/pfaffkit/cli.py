@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .errors import PfaffkitError
+from .errors import DivisionByZero, PfaffkitError
 from .diffalg import to_unipoly
 from .chains import (
     rational_to_noetherian,
@@ -249,6 +249,8 @@ def cmd_residues(args):
     f, base = spec.f, spec.base
     if base.var is not None:
         raise ParseError("residue data is computed over constant coefficients")
+    if f.num.is_zero():
+        raise DivisionByZero("dx/f is undefined for f = 0")
     factored = extract_factored(f)
     if factored is None:
         raise PfaffkitError(

@@ -1,13 +1,13 @@
 """The verdict engine for order-one and linear equations.
 
-Order-one equations y' = f(y) over a declared exact field are classified
-by a cascade: polynomials give a one-rule chain, factorable rational
-right-hand sides are run through the pole/degree refutation (guarded by
-the sufficient residue-ratio disintegration test), and the presentation
-search may still produce a positive certificate.  The first definite
-answer wins; anything else is reported Unknown with the reasons of every
-inconclusive stage.  Linear equations are classified through their
-declared symmetry group.
+Order-one equations y' = f(y) over a declared exact field: a polynomial f
+is its own one-rule chain; for a rational f over constants the poles
+decide first (``chains.pole_case``).  Where one rule presents f, the
+presentation is the Yes certificate.  Elsewhere f meets the degree
+condition of the pole/degree refutation, which runs on the factored form,
+guarded by the sufficient residue-ratio disintegration test, and answers
+No or Unknown with its reasons.  Linear equations are classified through
+their declared symmetry group.
 
 Each No names the violated criterion; each Yes carries a certificate
 that has already been re-verified by exact differentiation.
@@ -341,10 +341,12 @@ def classify_order_one(f, factored=None, degree_bound=3, candidates=()):
 
     Rationally-Pfaffian is always Yes, certified by the one-rule
     rational chain together with the equivalent unconstrained
-    two-variable system, both re-verified here.  The Pfaffian verdict
-    runs: trivial chain for polynomial f; otherwise the degree/residue
-    refutation on a factored form, then the presentation search.  The
-    first definite answer wins.
+    two-variable system, both re-verified here.  The Pfaffian verdict is
+    the trivial chain for polynomial f; over constants ``pole_case``
+    decides next: a one-rule presentation is the Yes certificate, and only
+    without one is f factored (``factored``, else ``extract_factored(f)``)
+    for the degree/residue refutation.  A ``factored`` that does not
+    multiply out to f raises InvalidFactoredForm.
     """
     f = f if isinstance(f, DiffRatFunc) else DiffRatFunc.from_poly(f)
     base = f.base
@@ -385,25 +387,27 @@ def classify_order_one(f, factored=None, degree_bound=3, candidates=()):
         )
         return Verdict(pfaffian=pfaffian, rationally_pfaffian=rationally)
 
-    stages = []
-    fr = factored if factored is not None else extract_factored(f)
-    if fr is None:
-        stages.append("no full linear factorization over the declared field")
-    else:
-        refute = not_pfaffian_by_degree_theorem(fr)
-        if refute.is_no:
-            return Verdict(pfaffian=refute, rationally_pfaffian=rationally)
-        stages.append(refute.reason)
-    cert = search_presentation(f, candidates=candidates, degree_bound=degree_bound)
-    if cert is not None:
+    A, B = to_unipoly(f.num, name), to_unipoly(f.den, name)
+    if factored is not None and (factored.numerator() != A or factored.denominator() != B):
+        raise InvalidFactoredForm("the factored form does not multiply out to f")
+    reason, _ = pole_case(A, B)
+    if reason is None:
+        cert = search_presentation(f, candidates=candidates, degree_bound=degree_bound)
         pfaffian = yes(
             witness=(f"presentation h = {cert.h_str()} with rule {cert.p.str('x')}",),
             payload=cert,
         )
         return Verdict(pfaffian=pfaffian, rationally_pfaffian=rationally)
-    reason, _ = pole_case(to_unipoly(f.num, name), to_unipoly(f.den, name))
-    stages.append(f"no one-rule rational presentation: {reason}")
-    return Verdict(pfaffian=unknown("; ".join(stages)), rationally_pfaffian=rationally)
+    fr = factored if factored is not None else extract_factored(f)
+    if fr is None:
+        stage = "no full linear factorization over the declared field"
+    else:
+        refute = not_pfaffian_by_degree_theorem(fr)
+        if refute.is_no:
+            return Verdict(pfaffian=refute, rationally_pfaffian=rationally)
+        stage = refute.reason
+    pfaffian = unknown(f"{stage}; no one-rule rational presentation: {reason}")
+    return Verdict(pfaffian=pfaffian, rationally_pfaffian=rationally)
 
 
 # ---------------------------------------------------------------------------

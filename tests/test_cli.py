@@ -280,6 +280,13 @@ class TestCommands:
         doc, code = invoke("residues", "(y^2-2)/(y*(y-1))")
         assert code == 1 and "error" in doc
 
+    @pytest.mark.parametrize("function", ["0", "0*(y-1)/y", "0 over Q(r: r^2-2)"])
+    def test_residues_of_zero_is_a_division_by_zero(self, function):
+        # no factored input could help here: dx/f has no residues at all
+        doc, code = invoke("residues", function)
+        assert code == 1
+        assert doc["error"] == {"kind": "DivisionByZero", "message": "dx/f is undefined for f = 0"}
+
     def test_logderiv_reduce(self):
         doc, code = invoke("logderiv-reduce", "y''' - t*y = 0")
         assert code == 0

@@ -8,10 +8,18 @@ from fractions import Fraction
 import pytest
 
 import pfaffkit as pk
-from pfaffkit.chains import search_presentation, verify_backward, verify_forward
+from pfaffkit.chains import (
+    PfaffianChain,
+    pole_case,
+    search_presentation,
+    verify_backward,
+    verify_forward,
+)
 from pfaffkit.cli import _certificates_of
 from pfaffkit.criteria import (
     FactoredRatFunc,
+    PolynomialChainCertificate,
+    Verdict,
     classify_linear,
     classify_order_one,
     degree_criterion,
@@ -21,7 +29,15 @@ from pfaffkit.criteria import (
     strict_disintegration_test,
     weierstrass_check,
 )
-from pfaffkit.diffalg import BaseDiffField, DiffPoly, DiffRatFunc
+from pfaffkit.diffalg import (
+    BaseDiffField,
+    DiffPoly,
+    DiffRatFunc,
+    from_unipoly,
+    renamed,
+    sole_variable,
+    to_unipoly,
+)
 from pfaffkit.errors import (
     ArityMismatch,
     DegenerateCurve,
@@ -29,7 +45,7 @@ from pfaffkit.errors import (
     NotMonic,
     ZeroDenominatorData,
 )
-from pfaffkit.groups import GL, SL
+from pfaffkit.groups import GL, SL, unknown, yes
 
 from conftest import RULE_FIELDS, rand_one_pole, rand_scalar, solve_exact
 
@@ -468,3 +484,146 @@ class TestConsistencyGuard:
             base = BaseDiffField.constants(f.leading.field)
             cert = search_presentation(f.as_diffratfunc(base), degree_bound=3)
             assert not (refuted and cert is not None), str(f)
+
+
+# ---------------------------------------------------------------------------
+# the pole case decides first
+
+def ref_classify_order_one(f, factored=None, degree_bound=3, candidates=()):
+    """The Pfaffian verdict in the earlier stage order, kept as a reference.
+
+    It factored and ran the refutation first, then searched for a
+    presentation, and on an Unknown asked the poles again to name the case.
+    """
+    name = sole_variable(f, default="y")
+    poly = f.as_polynomial()
+    if poly is not None:
+        variables = ("y1",)
+        chain = PfaffianChain(f.base, "polynomial", (renamed(poly, name, "y1"),), variables)
+        return yes(
+            witness=("polynomial right-hand side: the equation is its own chain",),
+            payload=PolynomialChainCertificate(
+                chain=chain, element=DiffPoly.var(f.base, variables, "y1")
+            ),
+        )
+    stages = []
+    fr = factored if factored is not None else extract_factored(f)
+    if fr is None:
+        stages.append("no full linear factorization over the declared field")
+    else:
+        refute = not_pfaffian_by_degree_theorem(fr)
+        if refute.is_no:
+            return refute
+        stages.append(refute.reason)
+    cert = search_presentation(f, candidates=candidates, degree_bound=degree_bound)
+    if cert is not None:
+        return yes(
+            witness=(f"presentation h = {cert.h_str()} with rule {cert.p.str('x')}",),
+            payload=cert,
+        )
+    reason, _ = pole_case(to_unipoly(f.num, name), to_unipoly(f.den, name))
+    stages.append(f"no one-rule rational presentation: {reason}")
+    return unknown("; ".join(stages))
+
+
+def stage_order_corpus(rng, field, count):
+    """(f, factored, candidates, shape) with 0, 1 and 2 pole locations, up to
+    m + 5 split zeros, and a numerator times x^2 + x + 7 (split over none of
+    the rule fields) in about a third of the draws."""
+    base = BaseDiffField.constants(field)
+    x = pk.UniPoly.x(field)
+    for k in range(count):
+        locations = k % 3
+        poles = []
+        while len(poles) < locations:
+            b = rand_scalar(rng, field, 3)
+            if b not in [p for p, _ in poles]:
+                poles.append((b, rng.randint(1, 3)))
+        m = sum(mult for _, mult in poles)
+        zeros = {}
+        for _ in range(rng.randint(0, m + 5)):
+            a = rand_scalar(rng, field, 3)
+            if a not in [p for p, _ in poles]:
+                zeros[a] = zeros.get(a, 0) + 1
+        fr = FactoredRatFunc(
+            rand_scalar(rng, field, 3, nonzero=True), tuple(zeros.items()), tuple(poles)
+        )
+        num = fr.numerator()
+        splits = rng.random() < 0.65
+        if not splits:
+            num = num * (x * x + x + 7)
+        f = DiffRatFunc(
+            from_unipoly(num, base, ("y",), "y"),
+            from_unipoly(fr.denominator(), base, ("y",), "y"),
+        )
+        factored = fr if splits and rng.random() < 0.5 else None
+        candidates = ((pk.UniPoly.const(1, field), x),) if rng.random() < 0.3 else ()
+        e = m - num.degree + 2
+        yield f, factored, candidates, (locations, locations != 1 or e >= 0, splits)
+
+
+def pfaffian_report(tv):
+    certs = _certificates_of(Verdict(pfaffian=tv))
+    return tv.value, tv.reason, tv.witness, tv.payload if tv.is_no else None, certs
+
+
+class TestPoleCaseFirst:
+    def test_same_verdicts_as_the_earlier_stage_order(self):
+        shapes, outcomes = set(), set()
+        for i, field in enumerate(RULE_FIELDS.values()):
+            rng = random.Random(7100 + i)
+            for f, factored, candidates, shape in stage_order_corpus(rng, field, 30):
+                got = classify_order_one(f, factored=factored, candidates=candidates).pfaffian
+                want = ref_classify_order_one(f, factored=factored, candidates=candidates)
+                assert pfaffian_report(got) == pfaffian_report(want), str(f)
+                shapes.add(shape)
+                outcomes.add((got.value, factored is None))
+        assert {locations for locations, _, _ in shapes} == {0, 1, 2}
+        assert {(1, True), (1, False)} <= {(locations, e_ok) for locations, e_ok, _ in shapes}
+        assert {splits for _, _, splits in shapes} == {True, False}
+        # a No both from the caller's factored form and from extract_factored
+        assert {value for value, _ in outcomes} == {"yes", "no", "unknown"}
+        assert {("no", True), ("no", False)} <= outcomes
+
+    @pytest.mark.parametrize("text, presented", [
+        ("y' = 1/(y-2)^3", True),
+        ("y' = 2*(y+1/2)*(y-1/3)*(y+3/2)/y", True),
+        ("y' = (y-1)^9/(y*(y-1/3))", False),
+        ("y' = (y-1)^4/y", False),
+    ])
+    def test_factor_and_refute_only_when_no_rule_presents(self, monkeypatch, text, presented):
+        import pfaffkit.criteria as criteria
+
+        calls = []
+        for name in ("extract_factored", "not_pfaffian_by_degree_theorem", "pole_case"):
+            real = getattr(criteria, name)
+
+            def recorded(*args, _name=name, _real=real):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(criteria, name, recorded)
+        v = classify_order_one(ode_f(text).f)
+        assert v.pfaffian.is_yes == presented
+        if presented:
+            assert calls == ["pole_case"]
+        else:
+            assert calls == ["pole_case", "extract_factored", "not_pfaffian_by_degree_theorem"]
+
+
+class TestCallersFactoredForm:
+    def test_a_factored_form_of_another_function_is_rejected(self):
+        # 1/(y-2)^3 has the presentation h = (2x+1)/x; the two-pole form
+        # must not turn it into a refutation
+        f = ode_f("y' = 1/(y-2)^3").f
+        other = extract_factored(ode_f("y' = (y-2)*(y-(1+r))/(y*(y-1)) over Q(r: r^2-2)").f)
+        with pytest.raises(InvalidFactoredForm):
+            classify_order_one(f, factored=other)
+        assert classify_order_one(f).pfaffian.payload.h_str() == "(2*x + 1)/x"
+
+    def test_a_form_with_another_leading_coefficient_is_rejected(self):
+        spec = ode_f("y' = (y-2)*(y-3)/(y*(y-1))")
+        fr = extract_factored(spec.f)
+        scaled = FactoredRatFunc(leading=rational(2), zeros=fr.zeros, poles=fr.poles)
+        with pytest.raises(InvalidFactoredForm):
+            classify_order_one(spec.f, factored=scaled)
