@@ -10,15 +10,11 @@ from .errors import PfaffkitError, InternalInvariant
 from .exactfield import (
     AlgebraicScalar,
     NumberField,
-    Rational,
     UniPoly,
     extract_linear_roots,
-    is_rational,
     nf_new,
     poly_gcd,
-    poly_toolkit,
     rational_multiple,
-    scalar_arith,
     scalar_sqrt,
 )
 from .diffalg import (
@@ -27,10 +23,8 @@ from .diffalg import (
     DiffPoly,
     DiffRatFunc,
     RatFunc,
-    coeff_derivation,
     riccati_reduce,
     substitute,
-    substitute_cleared,
 )
 from .chains import (
     ChainElement,
@@ -38,7 +32,6 @@ from .chains import (
     PfaffianChain,
     PresentationCertificate,
     VerifyResult,
-    chain_validate,
     combine,
     invert_element,
     rational_to_noetherian,

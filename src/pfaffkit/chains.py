@@ -170,11 +170,6 @@ class NoetherianSystem(PfaffianChain):
         super().__init__(base, "noetherian", rules, variables)
 
 
-def chain_validate(c):
-    """Raise MixedKinds, ArityMismatch, FieldMismatch or TriangularityViolated unless ``c`` is well formed."""
-    return c.validate()
-
-
 def combine(e1, e2, op):
     """Sum or product of two elements of one chain (no new variables)."""
     if e1.chain is not e2.chain and e1.chain != e2.chain:

@@ -19,6 +19,7 @@ import sys
 from .errors import DivisionByZero, PfaffkitError
 from .diffalg import to_unipoly
 from .chains import (
+    PresentationCertificate,
     rational_to_noetherian,
     search_presentation,
     verify_backward,
@@ -32,7 +33,6 @@ from .criteria import (
     PolynomialChainCertificate,
     RationalChainCertificate,
 )
-from .chains import PresentationCertificate
 from .groups import (
     EULERIAN,
     ONE_REDUCIBLE_INTERNAL,
@@ -91,12 +91,10 @@ def _certificates_of(verdict):
     pf = verdict.pfaffian
     if pf.is_yes and pf.payload is not None:
         payload = pf.payload
-        if isinstance(payload, PolynomialChainCertificate):
+        if isinstance(payload, (PolynomialChainCertificate, PresentationCertificate)):
             certs["pfaffian_chain"] = payload.chain.serialize()
             certs["element"] = str(payload.element)
-        elif isinstance(payload, PresentationCertificate):
-            certs["pfaffian_chain"] = payload.chain.serialize()
-            certs["element"] = str(payload.element)
+        if isinstance(payload, PresentationCertificate):
             certs["presentation"] = {
                 "h": payload.h_str(),
                 "p": payload.p.str("x"),

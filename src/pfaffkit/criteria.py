@@ -100,20 +100,12 @@ class FactoredRatFunc:
         return out
 
     def numerator(self):
-        field = self.leading.field
-        out = UniPoly.const(self.leading, field)
-        x = UniPoly.x(field)
-        for a, m in self.zeros:
-            out = out * (x - UniPoly.const(a, field)) ** m
-        return out
+        roots = [a for a, m in self.zeros for _ in range(m)]
+        return UniPoly.from_roots(roots, self.leading.field, self.leading)
 
     def denominator(self):
-        field = self.leading.field
-        out = UniPoly.const(1, field)
-        x = UniPoly.x(field)
-        for b, m in self.poles:
-            out = out * (x - UniPoly.const(b, field)) ** m
-        return out
+        roots = [b for b, m in self.poles for _ in range(m)]
+        return UniPoly.from_roots(roots, self.leading.field)
 
     def as_diffratfunc(self, base, varname="y"):
         variables = (varname,)

@@ -47,7 +47,6 @@ from .exactfield import (
     UniPoly,
     dense_divmod,
     dense_gcd,
-    homogenized_pair,
     monomial_str,
     not_single_factor,
     poly_gcd,
@@ -154,9 +153,8 @@ class RatFunc(_Fraction):
     """A reduced ratio of univariate polynomials over Q or Q(theta).
 
     The denominator is monic and coprime to the numerator, so equality
-    is structural.  Doubles as the element type of K(t) (with
-    ``derivative`` as d/dt) and as plain rational-function arithmetic in
-    the presentation search.
+    is structural.  It is the element type of K(t), with ``derivative``
+    as d/dt.
     """
 
     __slots__ = ("num", "den")
@@ -851,11 +849,6 @@ def _substitute_into(value, mapping):
 # ---------------------------------------------------------------------------
 # module-level operations
 
-def coeff_derivation(p):
-    """P with the base derivation applied to its coefficients."""
-    return p.coeff_derivation()
-
-
 def substitute(f, h):
     """Exact composition f(h) of univariate rational differential functions.
 
@@ -869,17 +862,6 @@ def substitute(f, h):
     if not used:
         return f
     return f.substitute({used.pop(): h})
-
-
-def substitute_cleared(f_num, f_den, r, s, d=2):
-    """f(R/S) S^d as a reduced rational function: ``homogenized_pair`` with W = 1.
-
-    ``f_num``/``f_den`` and ``r``/``s`` are UniPoly over one field.
-    """
-    if f_den.is_zero():
-        raise DivisionByZero("f has a zero denominator")
-    one = UniPoly.const(1, r.field)
-    return RatFunc(*homogenized_pair(f_num, f_den, r, s, one, d))
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,7 @@ loop, and the printer: ``signed_sum`` joins signed terms,
 ``product_str`` renders coefficient times monomial, and ``ratio_str`` a
 quotient, for scalars, ``UniPoly`` and ``diffalg`` alike.
 ``homogenized_pair`` composes A/B with R/S as one unreduced pair of
-``UniPoly``, for the presentation rule and ``diffalg.substitute_cleared``
-alike.
+``UniPoly``, for the presentation rule.
 
 Only simple extensions are supported (one generator, no towers), which
 covers every concrete irrationality condition the verdict engine needs.
@@ -41,7 +40,6 @@ note.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -52,8 +50,6 @@ from .errors import (
     NotMonic,
     ReduciblePolynomial,
 )
-
-Rational = Fraction
 
 _Q0 = Fraction(0)
 _Q1 = Fraction(1)
@@ -350,33 +346,6 @@ def _integer_eval(cs, x):
     return acc
 
 
-# the first 12 primes: Miller-Rabin with these bases is exact below 3.1 * 10^23
-_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n):
-    """Deterministic Miller-Rabin test, exact for every ``n < 3.1 * 10^23``."""
-    if n < 2:
-        return False
-    for q in _MILLER_RABIN_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while not d & 1:
-        d, s = d >> 1, s + 1
-    for a in _MILLER_RABIN_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _integer_roots(g):
     """Integer roots of a monic squarefree integer polynomial (Loos 1983).
 
@@ -391,7 +360,7 @@ def _integer_roots(g):
     p = 1
     while True:
         p += 1
-        if not _is_prime(p):
+        if any(p % q == 0 for q in range(2, isqrt(p) + 1)):
             continue
         gp = [c % p for c in g]
         roots = [r for r in range(p) if _integer_eval(gp, r) % p == 0]
@@ -836,24 +805,6 @@ def _inverse_mod(nums, ms, lead):
     return tuple(y * s for y, s in zip(ys, scales)), det
 
 
-def scalar_arith(a, b, op):
-    """Exact field arithmetic dispatch; ``op`` is one of ``+ - * /``."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def is_rational(a):
-    """The Fraction value of ``a`` when it lies in Q, else None."""
-    return a.is_rational()
-
-
 def rational_multiple(a, b):
     """The q in Q with a = q*b, or None when a/b is irrational."""
     b = AlgebraicScalar._coerce(b) or b
@@ -1277,37 +1228,6 @@ def poly_gcd(p, q):
         # g is primitive, so g/g[-1] is already in lowest terms
         return _poly(None, g, g[-1], 1)
     return UniPoly(a.field, dense_gcd(a.coeffs, b.coeffs))
-
-
-@dataclass(frozen=True)
-class PolyToolkit:
-    gcd: UniPoly
-    p_prime: UniPoly
-    coprime: bool
-    divides: bool
-    quotient: UniPoly | None
-    remainder: UniPoly | None
-
-
-def poly_toolkit(p, q):
-    """gcd / derivative / exact-division bundle for two polynomials.
-
-    ``divides`` and ``quotient`` describe division of ``p`` by ``q``.
-    """
-    g = poly_gcd(p, q)
-    if q.is_zero():
-        quo, rem, div = None, None, False
-    else:
-        quo, rem = divmod(p, q)
-        div = rem.is_zero()
-    return PolyToolkit(
-        gcd=g,
-        p_prime=p.derivative(),
-        coprime=g.is_constant() and not g.is_zero(),
-        divides=div,
-        quotient=quo if div else None,
-        remainder=rem,
-    )
 
 
 def extract_linear_roots(p):

@@ -15,7 +15,6 @@ import pfaffkit.exactfield as exactfield
 from pfaffkit.chains import (
     PfaffianChain,
     _presentation_rule,
-    chain_validate,
     combine,
     invert_element,
     pole_case,
@@ -33,9 +32,9 @@ from pfaffkit.diffalg import (
     DiffRatFunc,
     RatFunc,
     sole_variable,
-    substitute_cleared,
     to_unipoly,
 )
+from pfaffkit.exactfield import homogenized_pair
 from pfaffkit.errors import (
     ArityMismatch,
     ChainMismatch,
@@ -100,25 +99,25 @@ def lambert_data(flip_rule=None, flip_defining=False):
 class TestValidation:
     def test_single_rule_ok(self):
         y1 = DiffPoly.var(C, ("y1",), "y1")
-        assert chain_validate(PfaffianChain(C, "polynomial", (y1,), ("y1",)))
+        assert PfaffianChain(C, "polynomial", (y1,), ("y1",)).validate()
 
     def test_triangularity_violation_carries_indices(self):
         names = ("y1", "y2")
         y2 = DiffPoly.var(C, names, "y2")
         with pytest.raises(TriangularityViolated) as err:
-            chain_validate(PfaffianChain(C, "polynomial", (y2, y2), names))
+            PfaffianChain(C, "polynomial", (y2, y2), names).validate()
         assert (err.value.rule_index, err.value.variable_index) == (1, 2)
 
     def test_rational_kind_ok(self):
         y1 = DiffPoly.var(C, ("y1",), "y1")
         rule = DiffRatFunc(DiffPoly.const(C, ("y1",), 1), y1)
-        assert chain_validate(PfaffianChain(C, "rational", (rule,), ("y1",)))
+        assert PfaffianChain(C, "rational", (rule,), ("y1",)).validate()
 
     def test_mixed_kinds_rejected(self):
         y1 = DiffPoly.var(C, ("y1",), "y1")
         rule = DiffRatFunc(DiffPoly.const(C, ("y1",), 1), y1)
         with pytest.raises(MixedKinds):
-            chain_validate(PfaffianChain(C, "polynomial", (rule,), ("y1",)))
+            PfaffianChain(C, "polynomial", (rule,), ("y1",)).validate()
 
 
 class TestCheckedWhenBuilt:
@@ -927,7 +926,7 @@ class TestSearchPresentation:
         # reference reduces f(h) S^2 / W as a rational function
         def reference_rule(A, B, r, s, w):
             one = pk.UniPoly.const(1, A.field)
-            quot = substitute_cleared(A, B, r, s, d=2) / RatFunc(w, one)
+            quot = RatFunc(*homogenized_pair(A, B, r, s, one, 2)) / RatFunc(w, one)
             if not quot.is_polynomial():
                 return None
             return quot.num * quot.den.constant_value().inverse()
@@ -935,6 +934,7 @@ class TestSearchPresentation:
         for field in RULE_FIELDS.values():
             rng = random.Random(31)
             x = pk.UniPoly.x(field)
+            one = pk.UniPoly.const(1, field)
             for k in range(40):
                 # a Moebius h = R/S and a rule P give f = (P W / S^2)(h^-1),
                 # so (R, S) has a polynomial rule; the other pairs mostly not
@@ -946,7 +946,7 @@ class TestSearchPresentation:
                 w = r.derivative() * s - r * s.derivative()
                 P = rand_unipoly(rng, field, max_deg=3) if k else pk.UniPoly.zero(field)
                 g = RatFunc(w * P, s * s)
-                f = substitute_cleared(g.num, g.den, d * x - b, a - c * x, d=0)
+                f = RatFunc(*homogenized_pair(g.num, g.den, d * x - b, a - c * x, one, 0))
                 A, B = f.num, f.den
                 others = [
                     (x * x, pk.UniPoly.const(1, field)),
@@ -1066,7 +1066,8 @@ class TestPoleRules:
         r, s, w = with_w(x * a + b, x * c + d)
         P = rand_unipoly(rng, field, max_deg=3)
         g = RatFunc(w * P, s * s)
-        f = substitute_cleared(g.num, g.den, x * d - b, pk.UniPoly.const(a, field) - x * c, d=0)
+        one = pk.UniPoly.const(1, field)
+        f = RatFunc(*homogenized_pair(g.num, g.den, x * d - b, one * a - x * c, one, 0))
         A, B = f.num, f.den
         assert _presentation_rule(A, B, r, s, w) == P
         reason, beta = pole_case(A, B)

@@ -121,17 +121,16 @@ class TestSubstitute:
             f.substitute({"y": DiffPoly.const(C, ("y",), 1)})
 
     def test_cleared_form(self):
-        from pfaffkit.diffalg import substitute_cleared
-        import pfaffkit as pk
+        from pfaffkit.exactfield import homogenized_pair
 
         x = pk.UniPoly.x(None)
         one = pk.UniPoly.const(1, None)
         # f = 1/(2x) at h = 1/x, cleared by S^2, is the polynomial x^3/2
-        out = substitute_cleared(one, 2 * x, one, x, d=2)
+        out = RatFunc(*homogenized_pair(one, 2 * x, one, x, one, 2))
         assert out.is_polynomial()
         assert out.num == x ** 3 * Fraction(1, 2)
         # d = 0 recovers plain composition
-        plain = substitute_cleared(one, 2 * x, one, x, d=0)
+        plain = RatFunc(*homogenized_pair(one, 2 * x, one, x, one, 0))
         assert plain == pk.RatFunc(x, pk.UniPoly.const(2, None))
 
     def test_multiplicative_on_random_instances(self):

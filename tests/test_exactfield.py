@@ -18,7 +18,7 @@ from pfaffkit.diffalg import RatFunc
 from pfaffkit.exactfield import (
     AlgebraicScalar,
     UniPoly,
-    _is_prime,
+    _integer_roots,
     _rational_roots,
     _reduce_mod,
     dense_divmod,
@@ -72,7 +72,7 @@ class TestScalarArithmetic:
 
     def test_inverse_of_generator(self, sqrt2):
         th = sqrt2.gen()
-        assert pk.scalar_arith(sqrt2.one(), th, "/") == th / 2
+        assert sqrt2.one() / th == th / 2
 
     def test_additive_inverse(self, sqrt2):
         th = sqrt2.gen()
@@ -106,15 +106,15 @@ class TestScalarArithmetic:
 
 class TestRationalityQueries:
     def test_generator_is_irrational(self, sqrt2):
-        assert pk.is_rational(sqrt2.gen()) is None
+        assert sqrt2.gen().is_rational() is None
 
     def test_generator_square(self, sqrt2):
         th = sqrt2.gen()
-        assert pk.is_rational(th * th) == 2
+        assert (th * th).is_rational() == 2
 
     def test_norm_style_product(self, sqrt2):
         th = sqrt2.gen()
-        assert pk.is_rational((2 + th) * (2 - th)) == 2
+        assert ((2 + th) * (2 - th)).is_rational() == 2
 
     def test_rational_multiple_trivial(self, sqrt2):
         th = sqrt2.gen()
@@ -141,7 +141,7 @@ class TestRationalityQueries:
         one = pk.AlgebraicScalar.rational(1).lift(sqrt2)
         for _ in range(500):
             a = rand_scalar(rng, sqrt2)
-            assert pk.is_rational(a) == pk.rational_multiple(a, one)
+            assert a.is_rational() == pk.rational_multiple(a, one)
 
     def test_rational_multiple_reconstructs(self, sqrt2):
         rng = random.Random(8)
@@ -154,26 +154,25 @@ class TestRationalityQueries:
             assert (got * b - a).is_zero()
 
 
-class TestPolyToolkit:
+class TestGcdDerivativeDivision:
     def test_gcd_example(self):
         x = UniPoly.x(None)
-        tk = pk.poly_toolkit(x ** 2 - 1, x - 1)
-        assert tk.gcd == x - 1
+        assert pk.poly_gcd(x ** 2 - 1, x - 1) == x - 1
 
     def test_derivative_example(self):
         x = UniPoly.x(None)
-        assert pk.poly_toolkit(x ** 3, x).p_prime == 3 * x ** 2
+        assert (x ** 3).derivative() == 3 * x ** 2
 
     def test_exact_division_with_fraction_coefficients(self):
         x = UniPoly.x(None)
-        tk = pk.poly_toolkit(x ** 3 * Fraction(1, 2), x)
-        assert tk.divides
-        assert tk.quotient == x ** 2 * Fraction(1, 2)
+        quo, rem = divmod(x ** 3 * Fraction(1, 2), x)
+        assert rem.is_zero()
+        assert quo == x ** 2 * Fraction(1, 2)
 
     def test_gcd_of_zeros_rejected(self):
         z = UniPoly.zero(None)
         with pytest.raises(DivisionByZeroPolynomial):
-            pk.poly_toolkit(z, z)
+            pk.poly_gcd(z, z)
 
     def test_gcd_divides_both_and_is_greatest(self, sqrt2):
         rng = random.Random(42)
@@ -867,23 +866,33 @@ class TestIntegerUniPoly:
             assert to_sympy(g) == expected
 
 
-class TestMillerRabin:
-    """The deterministic primality test that rational-root finding walks primes with."""
+class TestPrimeWalk:
+    """Rational-root finding lifts the roots from the first prime that keeps them apart."""
 
-    def test_miller_rabin_matches_isprime(self):
+    # 30030 = 2*3*5*7*11*13, so the roots 0 and 30030 meet modulo every prime
+    # up to 13 and the walk lifts from 17.  Modulo the composite 4 the three
+    # roots stay apart, but g'(0) = -30030 is no unit mod 4, so lifting from
+    # 4 would find no inverse.
+    COLLIDING = (0, 30030, -1)
+
+    def test_integer_roots_skip_colliding_primes_and_composites(self):
         sympy = pytest.importorskip("sympy")
-        rng = random.Random(61)
-        for n in [rng.getrandbits(61) | 1 for _ in range(3000)] + list(range(-2, 2000)):
-            assert _is_prime(n) == sympy.isprime(n), n
-        # strong pseudoprimes to the first bases, and Carmichael numbers
-        strong_pseudoprimes = [
-            2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
-            341550071728321, 3825123056546413051, 561, 41041,
-        ]
-        for n in strong_pseudoprimes:
-            assert not _is_prime(n) and not sympy.isprime(n), n
-        for n in (2 ** 61 - 1, 2 ** 31 - 1, 2 ** 89 - 1, 1000000007):
-            assert _is_prime(n)
+        x = sympy.Symbol("x")
+        for shift in (0, 1, -7, 30030):
+            expr = sympy.prod([x - (r + shift) for r in self.COLLIDING])
+            g = [int(c) for c in reversed(sympy.Poly(expr, x).all_coeffs())]
+            assert sorted(_integer_roots(g)) == sorted(sympy.Poly(expr, x).ground_roots())
+
+    def test_rational_roots_skip_colliding_primes_and_composites(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for shift, den, irreducible in [(1, 1, 1), (1, 1, x ** 2 + 1), (-7, 3, x ** 2 - 2), (5, 1, 1)]:
+            expr = sympy.prod([den * x - (r + shift) for r in self.COLLIDING]) * irreducible
+            poly = sympy.Poly(expr, x)
+            cs = [Fraction(int(c)) for c in reversed(poly.all_coeffs())]
+            expected = sorted(Fraction(int(r.p), int(r.q)) for r in poly.ground_roots())
+            assert len(expected) == 3
+            assert _rational_roots(cs) == expected, cs
 
 
 def ref_homogenized(poly, r, s):
