@@ -218,16 +218,27 @@ def scalar_display_negative(c):
 def scalar_term(c, mono):
     """``(negative, body)`` of the printed term ``c*mono`` for a scalar ``c``."""
     neg = scalar_display_negative(c)
-    return neg, product_str(str(-c if neg else c), mono, is_sum)
+    return neg, product_str(_scalar_str(c, -1 if neg else 1), mono, is_sum)
 
 
-def poly_str_fractions(coords, varname):
-    """Print a coordinate vector as a polynomial in ``varname``, descending."""
-    return signed_sum(
-        (coords[i] < 0, product_str(str(abs(coords[i])), monomial_str((varname,), (i,)), is_sum))
-        for i in range(len(coords) - 1, -1, -1)
-        if coords[i]
-    )
+def _scalar_str(c, sign=1):
+    """The printed value of ``sign * c``, for ``sign`` 1 or -1, without building it."""
+    return _coords_str(c.nums, c.den, c.field.name if c.field else "?", sign)
+
+
+def _coords_str(nums, den, varname, sign=1):
+    """The polynomial ``sign * sum(nums[i] * varname^i) / den``, descending.
+
+    Each coordinate prints in lowest terms, as ``fractions.Fraction`` does.
+    """
+    terms = []
+    for i in range(len(nums) - 1, -1, -1):
+        n = nums[i] * sign
+        if n:
+            g = gcd(n, den)
+            q = str(abs(n) // g) if g == den else f"{abs(n) // g}/{den // g}"
+            terms.append((n < 0, product_str(q, monomial_str((varname,), (i,)), is_sum)))
+    return signed_sum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +493,8 @@ class NumberField:
         return hash(self.minpoly)
 
     def __repr__(self):
-        return f"NumberField({poly_str_fractions(self.minpoly, self.name)})"
+        nums = self.minpoly_nums + (self.minpoly_den,)  # monic: den/den leads
+        return f"NumberField({_coords_str(nums, self.minpoly_den, self.name)})"
 
 
 def _reduce_mod(cs, minpoly):
@@ -724,8 +736,7 @@ class AlgebraicScalar:
         return f"<{self}>"
 
     def __str__(self):
-        name = self.field.name if self.field else "?"
-        return poly_str_fractions(self.coords, name)
+        return _scalar_str(self)
 
 
 def _canonical(field, nums, den):

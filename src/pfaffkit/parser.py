@@ -16,7 +16,8 @@ Grammar sketch::
     atom    := NUMBER | NAME | '(' expr ')'
     NAME    := identifier followed by optional primes, e.g. y, y1, u''
 
-Field declarations: ``Q``, ``Q(t)``, ``Q(r: r^2-2)``, ``Q(r: r^2-2, z)``.
+Field declarations: ``Q``, ``Q(t)``, ``Q(r: r^2-2)``, ``Q(r: r^2-2, z)``,
+with at most one generator and at most one independent variable.
 Group expressions: ``Ga | Gm | GaxGm | SL(n) | GL(n) | PSL(n) | PGL(n)
 | T(k) | E | Fin | Prod(g, ...) | Ext(g, g) | Sub(g)``.
 
@@ -361,19 +362,25 @@ def _ring_combine(raise_to, divide):
 
 def eval_ratfunc(node, ctx):
     """Evaluate an AST to a DiffRatFunc in the context's ring."""
-    # Unlike substitution (``diffalg.cleared_pair``), parsing reduces after
-    # every operation: a sum of many fractions over one denominator, such as
+    # Numbers, the field generator and t are elements of the base field, and
+    # so is every operation on two of them.  A value that meets a ring
+    # variable is a DiffPoly, and stays one through sums, products, powers
+    # and division by a nonzero constant; only division by a non-constant
+    # polynomial makes a DiffRatFunc.  A polynomial is a fraction over 1,
+    # already in lowest terms and with a denominator whose leading
+    # coefficient is 1, so this gives the fraction that reducing every
+    # subtree would.  Once a value is a fraction, parsing, unlike
+    # substitution (``diffalg.cleared_pair``), reduces after every
+    # operation: a sum of many fractions over one denominator, such as
     # 1/(y+1) + ... + 1/(y+1), then keeps that one denominator, where
-    # unreduced pairs would multiply all of them together.  Numbers, the
-    # field generator and t are elements of the base field, and so is every
-    # operation on two of them; a value becomes a DiffRatFunc only when it
-    # meets a ring variable.
+    # unreduced pairs would multiply all of them together.
     base, ring = ctx.base, ctx.ring
 
+    def poly(v):
+        return v if isinstance(v, DiffPoly) else DiffPoly.const(base, ring, v)
+
     def lift(v):
-        if isinstance(v, DiffRatFunc):
-            return v
-        return DiffRatFunc.from_poly(DiffPoly.const(base, ring, v))
+        return v if isinstance(v, DiffRatFunc) else DiffRatFunc.from_poly(poly(v))
 
     def leaf(n):
         if isinstance(n, Num):
@@ -383,7 +390,7 @@ def eval_ratfunc(node, ctx):
                 f"derivatives of {n.name} are not allowed here", n.line, n.col
             )
         if n.name in ring:
-            return DiffRatFunc.from_poly(DiffPoly.var(base, ring, n.name))
+            return DiffPoly.var(base, ring, n.name)
         if n.name == ctx.gen_name and ctx.gen_name is not None:
             return base.coerce(base.field.gen())
         if n.name == base.var:
@@ -393,13 +400,20 @@ def eval_ratfunc(node, ctx):
     def divide(n, lhs, rhs):
         if rhs.is_zero():
             raise ParseError("division by zero", n.line, n.col)
-        return lhs / rhs
+        if not isinstance(rhs, DiffPoly):
+            return lhs / rhs
+        if rhs.is_constant():
+            return lhs * rhs.constant_coefficient().inverse()
+        return DiffRatFunc(lhs, rhs)
 
     fold = _ring_combine(pow, divide)
 
     def combine(n, a, b=None):
+        # both operands take the wider kind: base element, DiffPoly, DiffRatFunc
         if isinstance(a, DiffRatFunc) or isinstance(b, DiffRatFunc):
             a, b = lift(a), b if b is None else lift(b)
+        elif isinstance(a, DiffPoly) or isinstance(b, DiffPoly):
+            a, b = poly(a), b if b is None else poly(b)
         return fold(n, a, b)
 
     return lift(_fold(node, leaf, combine))
@@ -478,7 +492,9 @@ def eval_unipoly_q(node, gen_name):
         )
 
     def divide(n, a, b):
-        if not b.is_constant() or b.is_zero():
+        if b.is_zero():
+            raise ParseError("division by zero", n.line, n.col)
+        if not b.is_constant():
             raise ParseError("division by a non-constant", n.line, n.col)
         return a * b.constant_value().inverse()
 
@@ -515,6 +531,8 @@ def parse_field_decl(stream):
             stream.next()
             nxt = stream.peek()
             if nxt.kind == "op" and nxt.value == ":":
+                if gen_name is not None:
+                    raise ParseError("a second generator in a field declaration", t.line, t.col)
                 stream.next()
                 # minimal polynomial up to ',' or ')'
                 node = parse_expr(stream)
@@ -526,6 +544,10 @@ def parse_field_decl(stream):
                 if name not in ("t", "z"):
                     raise ParseError(
                         "the independent variable must be t or z", t.line, t.col
+                    )
+                if var is not None:
+                    raise ParseError(
+                        "a second independent variable in a field declaration", t.line, t.col
                     )
                 var = name
             t = stream.peek()

@@ -9,12 +9,16 @@ from pathlib import Path
 import pytest
 
 import pfaffkit as pk
+from pfaffkit import diffalg
 from pfaffkit.cli import run
-from pfaffkit.diffalg import BaseDiffField
-from pfaffkit.errors import ArityMismatch
+from pfaffkit.diffalg import BaseDiffField, DiffPoly, DiffRatFunc
+from pfaffkit.errors import ArityMismatch, PfaffkitError
 from pfaffkit.parser import (
     EvalContext,
+    Num,
     ParseError,
+    _fold,
+    _ring_combine,
     eval_ratfunc,
     eval_uexpr,
     parse_expression_text,
@@ -85,6 +89,8 @@ class TestExpressionParsing:
         assert d2.var == "t"
         d3 = parse_field_decl_text("Q(r: r^2-2, z)")
         assert d3.field.degree == 2 and d3.var == "z"
+        d4 = parse_field_decl_text("Q(t, r: r^2-2)")
+        assert d4.field.degree == 2 and d4.var == "t" and d4.gen_name == "r"
 
     def test_trailing_garbage_after_declaration(self):
         with pytest.raises(ParseError):
@@ -134,6 +140,13 @@ class TestExpressionParsing:
         ("y' = y^10001", 1, {"error": {
             "kind": "parse", "message": "exponent 10001 exceeds the supported bound 10000",
             "line": 1, "column": 8, "expected": []}}),
+        # divisors in the defining polynomial: zero, and not a constant
+        ("y' = y over Q(r: r^2/0)", 1, {"error": {
+            "kind": "parse", "message": "division by zero", "line": 1, "column": 21,
+            "expected": []}}),
+        ("y' = y over Q(r: r^2/r)", 1, {"error": {
+            "kind": "parse", "message": "division by a non-constant", "line": 1,
+            "column": 21, "expected": []}}),
     ])
     def test_constant_subexpression_envelopes(self, eq, code, expected):
         doc, got = invoke("classify-ode", eq)
@@ -183,6 +196,170 @@ class TestRoundTrips:
         lines += ["element: " + doc["certificates"]["element"], "ode: y' = 1/(2*y)"]
         fixture = parse_fixture_text("\n".join(lines))
         assert fixture.chain.serialize() == doc["certificates"]["pfaffian_chain"]
+
+
+# ---------------------------------------------------------------------------
+# the evaluator as it was, with a fraction at every node of a ring variable
+
+
+def ref_eval_ratfunc(node, ctx):
+    """Test-only copy of the evaluator that lifted every value meeting a ring
+    variable to a DiffRatFunc and reduced after every operation."""
+    base, ring = ctx.base, ctx.ring
+
+    def lift(v):
+        if isinstance(v, DiffRatFunc):
+            return v
+        return DiffRatFunc.from_poly(DiffPoly.const(base, ring, v))
+
+    def leaf(n):
+        if isinstance(n, Num):
+            return base.coerce(n.value)
+        if n.primes:
+            raise ParseError(f"derivatives of {n.name} are not allowed here", n.line, n.col)
+        if n.name in ring:
+            return DiffRatFunc.from_poly(DiffPoly.var(base, ring, n.name))
+        if n.name == ctx.gen_name and ctx.gen_name is not None:
+            return base.coerce(base.field.gen())
+        if n.name == base.var:
+            return base.coerce(base.gen())
+        raise ParseError(f"unknown identifier {n.name!r}", n.line, n.col)
+
+    def divide(n, lhs, rhs):
+        if rhs.is_zero():
+            raise ParseError("division by zero", n.line, n.col)
+        return lhs / rhs
+
+    fold = _ring_combine(pow, divide)
+
+    def combine(n, a, b=None):
+        if isinstance(a, DiffRatFunc) or isinstance(b, DiffRatFunc):
+            a, b = lift(a), b if b is None else lift(b)
+        return fold(n, a, b)
+
+    return lift(_fold(node, leaf, combine))
+
+
+# base fields of the sweep: (label, defining polynomial or None, generator, t)
+SWEEP_FIELDS = [
+    ("Q", None, None, None),
+    ("Q(sqrt2)", [-2, 0, 1], "r", None),
+    ("Q(cbrt2)", [-2, 0, 0, 1], "c", None),
+    ("Q(t)", None, None, "t"),
+    ("Q(sqrt2)(t)", [-2, 0, 1], "r", "t"),
+]
+SWEEP_RINGS = [("y",), ("y1", "y2")]
+SUBTREE_SHAPES = (
+    "sum", "difference", "product", "power", "negation", "by number",
+    "by polynomial", "by subtree", "by fraction", "constant", "zero divisor",
+)
+
+
+def rand_expression(rng, ring, constants, depth):
+    """Seeded expression text over the ring variables and the base constants."""
+    leaves = list(ring) * 2 + constants
+    if depth == 0:
+        return rng.choice(leaves)
+
+    def sub():
+        return rand_expression(rng, ring, constants, depth - 1)
+
+    shape = rng.choice(SUBTREE_SHAPES)
+    if shape == "sum":
+        return f"({sub()}) + ({sub()})"
+    if shape == "difference":
+        return f"({sub()}) - ({sub()})"
+    if shape == "product":
+        return f"({sub()})*({sub()})"
+    if shape == "power":
+        return f"({sub()})^{rng.randint(0, 4)}"
+    if shape == "negation":
+        return f"-({sub()})"
+    if shape == "by number":
+        return f"({sub()})/{rng.randint(1, 5)}"
+    if shape == "by polynomial":
+        return f"({sub()})/({rng.choice(ring)} - {rng.choice(constants)})"
+    if shape == "by subtree":
+        return f"({sub()})/({sub()})"
+    if shape == "by fraction":
+        return f"({sub()})/(({sub()})/({rng.choice(ring)} + {rng.choice(constants)}))"
+    if shape == "constant":
+        return f"({rng.choice(constants)} - {rng.choice(constants)})*({sub()})"
+    # rare, so that most trees evaluate
+    if rng.random() < 0.3:
+        x = rng.choice(leaves)
+        return f"({sub()})/({x} - {x})"
+    return sub()
+
+
+def outcome_of(evaluate, node, ctx):
+    """The value's stored terms and printed form, or the error it raised."""
+    try:
+        f = evaluate(node, ctx)
+    except PfaffkitError as err:
+        return type(err).__name__, str(err)
+    return f.num.terms, f.den.terms, str(f)
+
+
+def sweep_context(minpoly, gen, var, ring):
+    field = None if minpoly is None else pk.nf_new(minpoly, name=gen)
+    return EvalContext(BaseDiffField(field, var), ring, gen)
+
+
+class TestPolynomialSubtrees:
+    """``eval_ratfunc`` keeps subtrees without division by a polynomial as
+    DiffPoly; its results must equal the fraction-at-every-node evaluator's."""
+
+    @pytest.mark.parametrize("ring", SWEEP_RINGS, ids=["y", "y1-y2"])
+    @pytest.mark.parametrize("label, minpoly, gen, var", SWEEP_FIELDS,
+                             ids=[f[0] for f in SWEEP_FIELDS])
+    def test_matches_the_reference_evaluator(self, label, minpoly, gen, var, ring):
+        ctx = sweep_context(minpoly, gen, var, ring)
+        constants = ["2", "(1/3)", "(-5/2)"] + [name for name in (gen, var) if name]
+        rng = random.Random(f"polynomial-subtrees/{label}/{ring}")
+        errors = 0
+        for _ in range(60):
+            node = parse_expression_text(rand_expression(rng, ring, constants, 3))
+            want = outcome_of(ref_eval_ratfunc, node, ctx)
+            assert outcome_of(eval_ratfunc, node, ctx) == want
+            errors += isinstance(want[0], str)
+        assert errors < 30
+
+    @pytest.mark.parametrize("text, col", [
+        ("1/(y-y)", 2),
+        ("(y+1)*(2/(y*0))", 9),
+        ("y^2/((y-1)/(y-1) - 1)", 4),
+        ("(y/(y+1))/((y - y)/(y+2))", 10),
+        ("y + 1/(r^2 - 2)", 6),
+        ("(1/(y-r))/(r*r - 2)", 10),
+    ])
+    @pytest.mark.parametrize("ring", SWEEP_RINGS, ids=["y", "y1-y2"])
+    def test_zero_divisors_raise_alike(self, text, col, ring):
+        ctx = sweep_context([-2, 0, 1], "r", None, ring)
+        if ring != ("y",):
+            # each 'y' before the division becomes the two characters 'y1'
+            text, col = text.replace("y", "y1"), col + text[:col].count("y")
+        node = parse_expression_text(text)
+        for evaluate in (ref_eval_ratfunc, eval_ratfunc):
+            with pytest.raises(ParseError) as err:
+                evaluate(node, ctx)
+            assert (err.value.message, err.value.line, err.value.col) == ("division by zero", 1, col)
+
+    @pytest.mark.parametrize("text, reductions", [
+        ("y' = (1/2 + r)*(y - r)*(y - 1) over Q(r: r^2-2)", 0),
+        ("y' = (y-1)^9/(y*(y-1/3))", 1),
+    ])
+    def test_reductions_while_parsing(self, monkeypatch, text, reductions):
+        calls = []
+        original = diffalg._reduce_fraction
+
+        def counting(num, den):
+            calls.append(1)
+            return original(num, den)
+
+        monkeypatch.setattr(diffalg, "_reduce_fraction", counting)
+        parse_ode_text(text)
+        assert len(calls) == reductions
 
 
 class TestCommands:
@@ -409,7 +586,11 @@ class TestFixtureFiles:
         ("assign: y2 = w", "assign: y2 = q", "unknown identifier 'q'", 6, 14),
         ("rule: y2' = (1/z)*y1*y2", "rule: y2' = (1/z)*y1*y2/0", "division by zero", 8, 24),
         ("var: z", "var: z\nfield:  Q(r: r^2 $ 2)", "unexpected character '$'", 4, 18),
-    ], ids=["assign", "rule", "field"])
+        ("var: z", "var: z\nfield: Q(r: r^2-2, s: s^2-3)",
+         "a second generator in a field declaration", 4, 20),
+        ("var: z", "var: z\nfield: Q(t, z)",
+         "a second independent variable in a field declaration", 4, 13),
+    ], ids=["assign", "rule", "field", "field-generator", "field-variable"])
     def test_errors_inside_a_value_give_file_positions(self, old, new, message, line, col):
         text = self.lambert().replace(old, new)
         with pytest.raises(ParseError) as err:

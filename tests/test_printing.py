@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pfaffkit as pk
+from pfaffkit.exactfield import scalar_term
 from pfaffkit.diffalg import (
     BaseDiffField,
     DiffIndeterminateExpr,
@@ -178,14 +179,19 @@ def old_uexpr_str(u):
 
 
 # ---------------------------------------------------------------------------
-# seeded values over Q, Q(sqrt2), Q(cbrt2), Q(t) and Q(r)(t)
+# seeded values over Q, Q(sqrt2), Q(cbrt2), a quartic field, Q(t) and Q(r)(t)
 
-FIELD_NAMES = ("Q", "sqrt2", "cbrt2")
+FIELD_NAMES = ("Q", "sqrt2", "cbrt2", "quartic")
+# a field of degree 4, where irreducibility is only asserted: s^4 - s/2 - 1,
+# which is 2s^4 - s - 2 over 2, has no rational root and no quadratic factor
+# (s^4 - s - 2 has the root -1), and its denominator reaches the printed
+# defining polynomial
+QUARTIC = pk.nf_new([-1, Fraction(-1, 2), 0, 0, 1], name="s")
 
 
 @pytest.fixture(params=FIELD_NAMES)
 def field(request, sqrt2, cbrt2):
-    return {"Q": None, "sqrt2": sqrt2, "cbrt2": cbrt2}[request.param]
+    return {"Q": None, "sqrt2": sqrt2, "cbrt2": cbrt2, "quartic": QUARTIC}[request.param]
 
 
 def label(field):
@@ -225,6 +231,20 @@ def composite_constants(base):
     return out
 
 
+def large_scalar(rng, field):
+    """A scalar whose coordinates have numerators and denominators up to 10^12."""
+    big = 10 ** 12
+    coords = [
+        Fraction(rng.randint(-big, big), rng.choice((1, rng.randint(1, big), big - 11)))
+        for _ in range(1 if field is None else field.degree)
+    ]
+    if rng.random() < 0.3:
+        coords[rng.randrange(len(coords))] = Fraction(0)
+    if field is None:
+        return pk.AlgebraicScalar.rational(coords[0])
+    return field.scalar(*coords)
+
+
 def rand_diffpoly(rng, base, variables):
     terms = {}
     extras = composite_constants(base)
@@ -252,6 +272,16 @@ class TestPrintersMatchThePinnedCopies:
         if field is not None:
             old = old_poly_str_fractions(field.minpoly, field.name)
             assert repr(field) == f"NumberField({old})"
+
+    def test_large_scalars_and_their_signed_terms(self, field):
+        # coordinates up to 10^12 over large denominators, and the terms
+        # that print them without their sign
+        rng = random.Random(f"print-large-scalars/{label(field)}")
+        for _ in range(60):
+            c = large_scalar(rng, field)
+            assert str(c) == old_scalar_str(c)
+            for mono in ("", "y", "y^2"):
+                assert scalar_term(c, mono) == old_coeff_term_str(c, mono)
 
     def test_unipolys(self, field):
         rng = random.Random(f"print-unipoly/{label(field)}")
