@@ -7,8 +7,9 @@ type, the logarithmic-derivative (Riccati-style) reduction of a monic
 linear equation, and exact composition of univariate rational
 functions.  ``_reduce_fraction`` reduces every differential rational
 function: in one variable by ``poly_gcd`` on ``UniPoly`` over the
-constants and by the dense kernel ``exactfield.dense_gcd`` over K(t), in
-several variables by cancelling the common monomial content.
+constants, and over K(t) by the subresultant kernel
+``exactfield.subresultant_gcd`` in K[t][y], once the t-denominators are
+cleared; in several variables by cancelling the common monomial content.
 
 ``RatFunc`` and ``DiffRatFunc`` share their field operations through the
 base class ``_Fraction``.  Printing is ``exactfield``'s term printer, with
@@ -45,8 +46,7 @@ from .exactfield import (
     AlgebraicScalar,
     NumberField,
     UniPoly,
-    dense_divmod,
-    dense_gcd,
+    dense_exact_quotient,
     monomial_str,
     not_single_factor,
     poly_gcd,
@@ -56,6 +56,7 @@ from .exactfield import (
     scalar_display_negative,
     scalar_term,
     signed_sum,
+    subresultant_gcd,
 )
 
 
@@ -714,8 +715,13 @@ def _reduce_fraction(num, den):
     """``num/den`` in lowest terms, the denominator's leading coefficient 1.
 
     In one variable the common factor is the gcd: ``poly_gcd`` on
-    ``UniPoly`` over the constants, the dense kernel over K(t).  In several
-    variables only the common monomial content is cancelled.
+    ``UniPoly`` over the constants.  Over K(t) both sides are multiplied by
+    the lcm of their t-denominators, so that they lie in K[t][y]; the
+    primitive part of their subresultant gcd divides both exactly there,
+    and each coefficient of the quotients, over the new denominator's
+    leading one, is a reduced ``RatFunc``.  A reduced fraction with that
+    normalisation is unique, so each path gives the same result.  In
+    several variables only the common monomial content is cancelled.
     """
     base, variables = num.base, num.variables
     if num.is_zero():
@@ -737,14 +743,37 @@ def _reduce_fraction(num, den):
                 num = from_unipoly(a // g, base, variables, name)
                 den = from_unipoly(b // g, base, variables, name)
         else:
+            # over K(t): multiply both sides by the lcm of their t-denominators,
+            # so that they lie in K[t][y], and take the gcd there
             name = used.pop()
-            a, b = univar_dense(num, name), univar_dense(den, name)
-            g = dense_gcd(a, b)
+            i = num._var_index(name)
+            common = UniPoly.const(1, base.field)
+            for c in (*num.terms.values(), *den.terms.values()):
+                if c.den != common and not c.den.is_constant():
+                    common = c.den if common.is_constant() else (
+                        common * c.den.exact_quotient(poly_gcd(common, c.den)))
+            a, b = ([UniPoly.zero(base.field)] * (p.degree_in(name) + 1) for p in (num, den))
+            for p, out in ((num, a), (den, b)):
+                for e, c in p.terms.items():
+                    out[e[i]] = c.num if c.den == common else c.num * common.exact_quotient(c.den)
+            g = subresultant_gcd(a, b, UniPoly.exact_quotient)
             if len(g) > 1:
-                # g is monic, so the inverse of its leading coefficient is 1
-                one = base.one()
-                num = dense_to_diffpoly(base, variables, name, dense_divmod(a, g, one)[0])
-                den = dense_to_diffpoly(base, variables, name, dense_divmod(b, g, one)[0])
+                # the primitive part of the gcd divides both sides in K[t][y]
+                content = g[-1]
+                for c in g[:-1]:
+                    content = poly_gcd(content, c)
+                    if content.is_constant():
+                        break
+                else:
+                    g = [c.exact_quotient(content) for c in g]
+                a = dense_exact_quotient(a, g, UniPoly.exact_quotient)
+                b = dense_exact_quotient(b, g, UniPoly.exact_quotient)
+            # over the denominator's leading coefficient, that coefficient is 1
+            lead = b[-1]
+            return tuple(
+                dense_to_diffpoly(base, variables, name, [RatFunc(c, lead) for c in side])
+                for side in (a, b)
+            )
     lead = den.leading_coefficient()
     if lead != 1:
         inv = lead.inverse()

@@ -17,11 +17,16 @@ per coefficient over one common denominator, so its ring arithmetic runs
 on ints for every field.  Over Q, division and the gcd run on the ints
 too, written once for integer lists: pseudo-division (``_int_divmod``)
 and the primitive remainder sequence (``_int_gcd``), which rational-root
-finding also uses.  Elsewhere long division and the Euclidean gcd are
-written once, on lists of coefficients with ``*``, ``-`` and
-``inverse()`` (``dense_divmod``, ``dense_gcd``): for ``UniPoly`` over
-Q(theta), for differential rational functions over K(t), and for the
-reduction of scalars by their defining polynomial.
+finding also uses.  Elsewhere each loop is written once, on lists of
+coefficients: long division with ``*``, ``-`` and the inverse of the
+leading coefficient (``dense_divmod``), for ``UniPoly`` over Q(theta) and
+for the reduction of scalars by their defining polynomial; and the
+subresultant remainder sequence with an exact quotient
+(``subresultant_gcd``), with exact division beside it
+(``dense_exact_quotient``), for every gcd whose coefficients are not plain
+ints: scalars of Q(theta), and the ``UniPoly`` coefficients in t of a
+differential rational function over K(t) once its t-denominators are
+cleared.
 
 Every ring in the package shares ``power``, the one square-and-multiply
 loop, and the printer: ``signed_sum`` joins signed terms,
@@ -47,6 +52,7 @@ from .errors import (
     DivisionByZero,
     DivisionByZeroPolynomial,
     FieldMismatch,
+    InternalInvariant,
     NotMonic,
     ReduciblePolynomial,
 )
@@ -89,19 +95,70 @@ def _trim(cs):
     return cs
 
 
-def dense_gcd(a, b):
-    """Monic gcd of two coefficient lists by the Euclidean algorithm.
+def _prem(a, b):
+    """The pseudo-remainder of ``a`` by ``b``: lc(b)^(len(a)-len(b)+1) * a mod b, untrimmed."""
+    lead, low = b[-1], b[:-1]
+    rem = list(a)
+    for k in range(len(a) - len(b), -1, -1):
+        top = rem.pop()
+        rem = [c * lead for c in rem]
+        for i, c in enumerate(low, k):
+            rem[i] = rem[i] - top * c
+    return rem
 
-    The coefficients need ``is_zero()`` and ``inverse()``; zero leading
-    entries are allowed.  The gcd of two zero lists is the empty list.
+
+def subresultant_gcd(a, b, quo):
+    """A gcd of two coefficient lists over an integral domain, unnormalised.
+
+    This is the one gcd for coefficients other than plain ints (``_int_gcd``
+    takes those): scalars of Q(theta), and polynomials of K[t] for the
+    fractions of K(t).  It runs the subresultant remainder sequence
+    (Collins 1967; Brown and Traub 1971): each pseudo-remainder is divided
+    exactly by g*h^delta, so the coefficients grow no larger than the
+    subresultants, and the last nonzero one is returned.  The coefficients
+    need ``*``, ``-``, ``**`` and ``is_zero()``; ``quo(x, y)`` is the exact
+    quotient.  Zero leading entries are allowed; two zero lists give ``[]``.
     """
     a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        a, b = b, _trim(dense_divmod(a, b, b[-1].inverse())[1])
-    if a:
-        inv = a[-1].inverse()
-        a = [c * inv for c in a]
-    return a
+    if len(a) < len(b):
+        a, b = b, a
+    g = h = None  # both stand for 1 until they are first set
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        r = _trim(_prem(a, b))
+        if not r:
+            return b
+        if g is not None:
+            d = g if h is None else g * h ** delta
+            r = [quo(c, d) for c in r]
+        a, b, g = b, r, b[-1]
+        # h = h^(1 - delta) * g^delta, an exact quotient
+        if h is None:
+            h = g ** delta if delta else None
+        elif delta == 1:
+            h = g
+        else:
+            h = quo(g ** delta, h ** (delta - 1))
+    return b or a
+
+
+def dense_exact_quotient(a, b, quo):
+    """The quotient of coefficient list ``a`` by ``b`` when ``b`` divides it.
+
+    ``quo(x, y)`` is the exact quotient of the coefficients.  A nonzero
+    remainder means the caller's divisor was not a factor, which is a
+    broken invariant.
+    """
+    lead, low = b[-1], b[:-1]
+    rem = list(a)
+    out = [None] * (len(a) - len(b) + 1)
+    for k in range(len(out) - 1, -1, -1):
+        f = out[k] = quo(rem.pop(), lead)
+        for i, c in enumerate(low, k):
+            rem[i] = rem[i] - f * c
+    if not all(c.is_zero() for c in rem):
+        raise InternalInvariant("an exact polynomial division left a remainder")
+    return out
 
 
 def _over_common_denominator(cs):
@@ -895,8 +952,9 @@ class UniPoly:
     ``+``, ``-``, ``*``, ``derivative`` and ``monic`` work on the ints for
     every field; a product over Q(theta) reduces the powers of theta once
     per output coefficient.  Over Q, division and ``poly_gcd`` work on the
-    ints as well; over Q(theta) they run ``dense_divmod`` and ``dense_gcd``
-    on ``coeffs``.  Values are never mutated after construction.
+    ints as well; over Q(theta) they run ``dense_divmod`` and
+    ``subresultant_gcd`` on ``coeffs``.  Values are never mutated after
+    construction.
     """
 
     __slots__ = ("field", "nums", "den")
@@ -1067,6 +1125,13 @@ class UniPoly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
+    def exact_quotient(self, other):
+        """``self / other`` when ``other`` divides ``self``; a remainder is a broken invariant."""
+        quo, rem = divmod(self, other)
+        if not rem.is_zero():
+            raise InternalInvariant("an exact polynomial division left a remainder")
+        return quo
+
     def divides(self, other):
         """True when self divides ``other`` exactly."""
         if self.is_zero():
@@ -1228,8 +1293,8 @@ def poly_gcd(p, q):
     """Monic gcd of two polynomials; errors when both are zero.
 
     Over Q this is the primitive remainder sequence on the integer
-    vectors (``_int_gcd``); over Q(theta) it is ``dense_gcd`` on the
-    coefficients.
+    vectors (``_int_gcd``); over Q(theta) it is the subresultant remainder
+    sequence on the coefficients (``subresultant_gcd``), made monic.
     """
     a, b = p._pair(q)
     if a.is_zero() and b.is_zero():
@@ -1238,7 +1303,26 @@ def poly_gcd(p, q):
         g = _int_gcd(a.nums, b.nums)
         # g is primitive, so g/g[-1] is already in lowest terms
         return _poly(None, g, g[-1], 1)
-    return UniPoly(a.field, dense_gcd(a.coeffs, b.coeffs))
+    # scaling by the denominators leaves the gcd as it is up to a unit, and
+    # gives the remainder sequence integer coordinates to keep small
+    a, b = _poly(a.field, a.nums, 1, 1), _poly(b.field, b.nums, 1, 1)
+    return UniPoly(a.field, subresultant_gcd(a.coeffs, b.coeffs, _field_quotient())).monic()
+
+
+def _field_quotient():
+    """``x / y`` for ``subresultant_gcd`` over a field, inverting each divisor once.
+
+    The kernel divides a whole remainder by one divisor, so the inverse of
+    the last divisor is kept.
+    """
+    last = [None, None]
+
+    def quo(x, y):
+        if y is not last[0]:
+            last[:] = y, y.inverse()
+        return x * last[1]
+
+    return quo
 
 
 def extract_linear_roots(p):

@@ -984,7 +984,7 @@ class TestSearchPresentation:
 
         monkeypatch.setattr(RatFunc, "__init__", counting("RatFunc", RatFunc.__init__))
         for module in (exactfield, diffalg, chains):
-            for gcd in ("poly_gcd", "dense_gcd"):
+            for gcd in ("poly_gcd", "subresultant_gcd"):
                 if hasattr(module, gcd):
                     monkeypatch.setattr(module, gcd, counting("gcd", getattr(module, gcd)))
         assert all(_presentation_rule(A, B, r, s, w) is None for r, s, w in tried)

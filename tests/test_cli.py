@@ -737,9 +737,26 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stdout
         assert "error" not in json.loads(proc.stdout)
 
-    def test_hidden_common_factor_finishes(self):
+    @pytest.mark.parametrize("defining", ["r^2-2", "r^3-2"])
+    def test_k_t_fraction_over_a_number_field_finishes(self, defining):
+        # Euclid on K(t) coefficients took 58.8 s on this input over Q(r: r^2-2);
+        # the remainder sequence in K[t][y] takes a fraction of a second
+        text = (
+            "y' = ((((t+y)*(-2-(y-1)))/(4+((y*t-1)/3/2)))*(((y)^3+((y+2))^1)"
+            f"+(((y-r)/(y+2))*(-1/(y*t-1))))) over Q(r: {defining})"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "pfaffkit.cli", "classify-ode", text],
+            capture_output=True, text=True, check=False, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stdout
+        assert json.loads(proc.stdout)["verdicts"]["rationally_pfaffian"] == "yes"
+
+    @pytest.mark.parametrize("declaration", ["", " over Q(r: r^2-2)"])
+    def test_hidden_common_factor_finishes(self, declaration):
         # A*G/(B*G) expanded, with A, B, G random monic of degree 40 and
-        # coefficients up to 10^6: the parser's gcd must find G of degree 40
+        # coefficients up to 10^6: the parser's gcd must find G of degree 40,
+        # over Q and over Q(sqrt2)
         rng = random.Random(40)
 
         def monic():
@@ -756,7 +773,7 @@ class TestExitCodes:
             return " + ".join(f"({c})*y^{k}" for k, c in enumerate(cs))
 
         a, b, g = monic(), monic(), monic()
-        ode = f"y' = ({text(times(a, g))})/({text(times(b, g))})"
+        ode = f"y' = ({text(times(a, g))})/({text(times(b, g))}){declaration}"
         proc = subprocess.run(
             [sys.executable, "-m", "pfaffkit.cli", "classify-ode", ode],
             capture_output=True, text=True, check=False, timeout=10,

@@ -28,9 +28,10 @@ from pfaffkit.errors import (
     NotMonic,
     UnknownVariable,
 )
-from pfaffkit.exactfield import dense_divmod, dense_gcd
+from pfaffkit.exactfield import dense_divmod
 
 from conftest import rand_diffpoly, rand_fraction, rand_nonzero_poly, rand_poly
+from test_exactfield import ref_dense_gcd
 
 C = BaseDiffField.constants()
 Kt = BaseDiffField.rational_functions(var="t")
@@ -483,11 +484,12 @@ class TestHashAgreesWithEquality:
 
 def ref_qtheta_reduce(num, den):
     """Test-only copy of the dense-Euclid branch that reduced univariate
-    fractions over Q(theta) before ``poly_gcd`` on ``UniPoly`` did."""
+    fractions over Q(theta) before ``poly_gcd`` on ``UniPoly`` did, and over
+    K(t) before the subresultant kernel in K[t][y] did."""
     base, variables = num.base, num.variables
     (name,) = num.used_variables() | den.used_variables()
     a, b = univar_dense(num, name), univar_dense(den, name)
-    g = dense_gcd(a, b)
+    g = ref_dense_gcd(a, b)
     if len(g) > 1:
         one = base.one()
         num = dense_to_diffpoly(base, variables, name, dense_divmod(a, g, one)[0])
@@ -509,11 +511,8 @@ class TestFractionNormalForm:
         rng = random.Random(1212)
         for base, names in rings:
             one = DiffPoly.const(base, names, 1)
-            # the reference reduces f.num^3/f.den^3 from scratch, and the dense
-            # gcd over Q(r)(t) is slow on cubes of degree 6
-            deg = 1 if base.var else 2
             for _ in range(12):
-                f = DiffRatFunc(*(rand_nonzero_poly(rng, base, names, deg) for _ in range(2)))
+                f = DiffRatFunc(*(rand_nonzero_poly(rng, base, names, 2) for _ in range(2)))
                 for n in range(4):
                     g, ref = f ** n, DiffRatFunc(f.num ** n, f.den ** n)
                     assert (g.num.terms, g.den.terms) == (ref.num.terms, ref.den.terms), (base, f, n)
@@ -523,11 +522,18 @@ class TestFractionNormalForm:
 
     def test_univariate_reduction_over_a_number_field_matches_dense_euclid(self, sqrt2, cbrt2):
         rng = random.Random(1313)
-        for field in (sqrt2, cbrt2):
-            base = BaseDiffField.constants(field)
+        for base in (
+            BaseDiffField.constants(sqrt2), BaseDiffField.constants(cbrt2),
+            Kt, BaseDiffField.rational_functions(sqrt2),
+        ):
             checked = 0
             while checked < 40:
                 a, b, g = (rand_nonzero_poly(rng, base, ("y",)) for _ in range(3))
+                if base.var is not None:
+                    # t-denominators, which the K[t][y] gcd clears first
+                    t = base.gen()
+                    a = a * (t + rng.randint(1, 3)).inverse()
+                    g = g * (t * t - rng.randint(1, 3)).inverse()
                 num, den = a * g, b * g
                 if num.is_constant() or den.is_constant():
                     continue
@@ -535,6 +541,25 @@ class TestFractionNormalForm:
                 ref = ref_qtheta_reduce(num, den)
                 assert (red[0].terms, red[1].terms) == (ref[0].terms, ref[1].terms), (num, den)
                 checked += 1
+
+    def test_an_inexact_divisor_over_k_t_is_a_broken_invariant(self, monkeypatch):
+        # a kernel that returns y + 1, which divides neither side, must stop
+        # the reduction with InternalInvariant, and the command with exit 2
+        from pfaffkit import cli, diffalg
+
+        def wrong_gcd(a, b, quo):
+            one = pk.UniPoly.const(1)
+            return [one, one]
+
+        monkeypatch.setattr(diffalg, "subresultant_gcd", wrong_gcd)
+        y = DiffPoly.var(Kt, ("y",), "y")
+        t = Kt.gen()
+        with pytest.raises(pk.InternalInvariant):
+            DiffRatFunc(y * t - 1, y * y - t)
+        doc, code = cli.run(["classify-ode", "y' = (y*t - 1)/(y^2 - t)"])
+        assert code == 2
+        assert doc["error"]["kind"] == "internal"
+        assert doc["error"]["message"].startswith("InternalInvariant: ")
 
     @pytest.mark.parametrize("defining", ["r^2-2", "r^3-2"])
     @pytest.mark.parametrize("rhs", [

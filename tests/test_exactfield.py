@@ -22,10 +22,11 @@ from pfaffkit.exactfield import (
     _rational_roots,
     _reduce_mod,
     dense_divmod,
-    dense_gcd,
+    dense_exact_quotient,
     extract_linear_roots,
     homogenized_pair,
     scalar_sqrt,
+    subresultant_gcd,
 )
 
 from conftest import rand_fraction, rand_scalar, rand_unipoly
@@ -229,9 +230,10 @@ class TestLongDivision:
             assert a // b == q and a % b == r
 
 
-# Test-only copies of the loops that dense_divmod and dense_gcd replaced:
-# the Fraction-list division, gcd and reduction of scalars, and the gcd and
-# exact division of univariate differential rational functions.
+# Test-only copies of the loops that dense_divmod and subresultant_gcd
+# replaced: the Fraction-list division, gcd and reduction of scalars, and
+# the Euclidean gcd and exact division of univariate differential rational
+# functions.
 
 def ref_qdivmod(a, b):
     """Fraction-list long division that trims the remainder after each step."""
@@ -353,8 +355,17 @@ def rand_coeffs(rng, make, max_deg, nonzero=False):
             return cs
 
 
+def monic_gcd(a, b):
+    """The kernel's gcd over a field, divided by its leading coefficient."""
+    g = subresultant_gcd(a, b, lambda x, y: x / y)
+    if g:
+        inv = g[-1].inverse()
+        g = [c * inv for c in g]
+    return g
+
+
 class TestDenseKernel:
-    """dense_divmod and dense_gcd against the loops they replaced."""
+    """dense_divmod and subresultant_gcd against the loops they replaced."""
 
     def check_division(self, a, b, inv):
         q, r = dense_divmod(a, b, inv(b[-1]))
@@ -364,9 +375,9 @@ class TestDenseKernel:
         return q, r
 
     def check_gcd(self, a, b, common):
-        g = dense_gcd(a, b)
+        g = monic_gcd(a, b)
         assert g == ref_dense_gcd(a, b)
-        assert dense_gcd(a + [common[0] - common[0]], b) == g  # zero leading entry
+        assert monic_gcd(a + [common[0] - common[0]], b) == g  # zero leading entry
         if g:
             assert g[-1] == 1
             assert not trimmed(dense_divmod(a, g, g[-1])[1])
@@ -813,7 +824,8 @@ class TestIntegerUniPoly:
             if not (p1.is_zero() and p2.is_zero()):
                 g = pk.poly_gcd(p1, p2)
                 check_canonical_poly(g, field)
-                assert list(g.coeffs) == dense_gcd(p1.coeffs, p2.coeffs)
+                assert list(g.coeffs) == monic_gcd(p1.coeffs, p2.coeffs)
+                assert list(g.coeffs) == ref_dense_gcd(p1.coeffs, p2.coeffs)
 
     @pytest.mark.parametrize("name", UNIPOLY_FIELDS)
     def test_built_from_scalars_equals_built_by_arithmetic(self, name):
@@ -1009,6 +1021,125 @@ class TestUniPolyProperties:
         assert g.divides(a) and g.divides(b)
         if not c.is_zero():
             assert c.divides(g)
+
+
+KERNEL_DOMAINS = ("Q", "Q(sqrt2)", "Q(cbrt2)", "Q[t]", "Q(sqrt2)[t]")
+
+
+@st.composite
+def kernel_triples(draw):
+    """``(name, a, b, c)``: coefficient lists over a field, or over K[t] as
+    lists of ``UniPoly`` in t, for the subresultant kernel."""
+    name = draw(st.sampled_from(KERNEL_DOMAINS))
+    if name.endswith("[t]"):
+        field = INTEGER_FIELDS[name[:-3]]
+        poly = st.lists(unipolys(field, 2), max_size=4)
+    else:
+        poly = unipolys(INTEGER_FIELDS[name], 4).map(lambda p: list(p.coeffs))
+    a, b, c = (trimmed(draw(poly)) for _ in range(3))
+    return name, a, b, c
+
+
+def kernel_normal_form(name, g):
+    """The kernel's gcd as one representative: monic over a field; over K[t]
+    primitive in t, with the leading scalar of its leading coefficient 1."""
+    if not name.endswith("[t]"):
+        return monic_gcd(g, [])
+    content = g[-1].monic()
+    for c in g:
+        content = pk.poly_gcd(content, c)
+    g = [c.exact_quotient(content) for c in g]
+    inv = g[-1].leading().inverse()
+    return [c * inv for c in g]
+
+
+def kernel_to_sympy(g, sympy):
+    """A coefficient list in y, of scalars or of polynomials in t, as a sympy Poly in y and t."""
+    y, t = sympy.symbols("y t")
+
+    def scalar(c):
+        return sum(sympy.Rational(q.numerator, q.denominator) * sympy.sqrt(2) ** j
+                   for j, q in enumerate(c.coords))
+
+    expr = sympy.Integer(0)
+    for i, c in enumerate(g):
+        cs = c.coeffs if isinstance(c, UniPoly) else [c]
+        expr += sum(scalar(x) * t ** k for k, x in enumerate(cs)) * y ** i
+    return sympy.Poly(expr, y, t, domain=sympy.QQ.algebraic_field(sympy.sqrt(2)))
+
+
+class TestSubresultantKernel:
+    @PROPERTY_SETTINGS
+    @given(kernel_triples())
+    def test_gcd_divides_both_and_leaves_coprime_cofactors(self, case):
+        name, a, b, c = case
+        if c:
+            a, b = list_mul(a, c), list_mul(b, c)
+        assume(a or b)
+        quo = UniPoly.exact_quotient if name.endswith("[t]") else (lambda x, y: x / y)
+        g = kernel_normal_form(name, subresultant_gcd(a, b, quo))
+        ca, cb = dense_exact_quotient(a, g, quo), dense_exact_quotient(b, g, quo)
+        assert list_mul(ca, g) == a and list_mul(cb, g) == b
+        assert len(subresultant_gcd(ca, cb, quo)) == 1
+        if len(c) > 1:
+            # the common factor, or over K[t] its primitive part, divides the gcd
+            dense_exact_quotient(g, kernel_normal_form(name, c), quo)
+        if "sqrt2" in name:
+            sympy = pytest.importorskip("sympy")
+            sa, sb = kernel_to_sympy(a, sympy), kernel_to_sympy(b, sympy)
+            want = sa.gcd(sb)
+            if name.endswith("[t]"):
+                # sympy's gcd in K[y, t] keeps the common content in t
+                y, t = want.gens
+                _, prim = sympy.Poly(want.as_expr(), y, domain=want.domain[t]).primitive()
+                want = sympy.Poly(prim.as_expr(), y, t, domain=want.domain)
+            assert kernel_to_sympy(g, sympy) == want.monic()
+
+    def test_returns_the_last_subresultant(self):
+        # over Q[t], against sympy's subresultant sequence (equal up to sign);
+        # Knuth's pair (TAOCP 4.6.1) has remainder degrees 4, 2, 1, 0 below
+        # 8 and 6, so three steps divide by h^delta with delta 2
+        sympy = pytest.importorskip("sympy")
+        y, t = sympy.symbols("y t")
+        T = UniPoly.x()
+
+        def lifted(cs):
+            return [c if isinstance(c, UniPoly) else UniPoly.const(c) for c in cs]
+
+        def as_sympy(cs):
+            return sum(sum(sympy.Rational(c.coords[0].numerator, c.coords[0].denominator) * t ** k
+                           for k, c in enumerate(p.coeffs)) * y ** i for i, p in enumerate(cs))
+
+        f, g = [-5, 2, 8, -3, -3, 0, 1, 0, 1], [21, -9, -4, 0, 5, 0, 3]
+        common = [T, 0, 1]
+        cases = [
+            (f, g),
+            ([T - 5] + f[1:], [21 - T * T] + g[1:]),
+            (list_mul(lifted([T - 5] + f[1:]), lifted(common)), list_mul(lifted(g), lifted(common))),
+            ([T * T + 1, 2, T, -3], [T, 1 - T]),
+        ]
+        for a, b in cases:
+            a, b = lifted(a), lifted(b)
+            got = sympy.expand(as_sympy(subresultant_gcd(a, b, UniPoly.exact_quotient)))
+            want = sympy.expand(sympy.subresultants(as_sympy(a), as_sympy(b), y)[-1])
+            assert got in (want, -want)
+
+    def test_remainder_sequence_over_a_field_is_not_normalised(self, sqrt2):
+        # (x^2 - 2)(x + r) and (x^2 - 2)(x + 1)*3: the last subresultant is a
+        # scalar multiple of x^2 - 2, which the caller makes monic
+        r = sqrt2.gen()
+        x = UniPoly.x(sqrt2)
+        a, b = (x * x - 2) * (x + r), (x * x - 2) * (x + 1) * 3
+        g = subresultant_gcd(a.coeffs, b.coeffs, lambda u, v: u / v)
+        assert UniPoly(sqrt2, g).monic() == x * x - 2
+        assert subresultant_gcd([], [], lambda u, v: u / v) == []
+
+    def test_an_inexact_division_is_a_broken_invariant(self):
+        x = UniPoly.x()
+        with pytest.raises(pk.InternalInvariant):
+            (x * x + 1).exact_quotient(x)
+        with pytest.raises(pk.InternalInvariant):
+            dense_exact_quotient([x, x], [x + 1, x], UniPoly.exact_quotient)
 
 
 class TestPolyHashAgreesWithEquality:
