@@ -69,6 +69,7 @@ from .groups import (
     extension,
     subgroup_of,
     reducibility_profile,
+    series_witness_valid,
 )
 from .criteria import (
     FactoredRatFunc,

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .errors import DivisionByZero, PfaffkitError
+from .errors import DivisionByZero, NoLinearFactorization, PfaffkitError
 from .diffalg import to_unipoly
 from .chains import (
     PresentationCertificate,
@@ -251,7 +251,7 @@ def cmd_residues(args):
         raise DivisionByZero("dx/f is undefined for f = 0")
     factored = extract_factored(f)
     if factored is None:
-        raise PfaffkitError(
+        raise NoLinearFactorization(
             "no full linear factorization over the declared field; supply the "
             "function as a product of linear factors"
         )

@@ -32,7 +32,6 @@ from .exactfield import (
 from .diffalg import (
     DiffPoly,
     DiffRatFunc,
-    from_unipoly,
     renamed,
     riccati_reduce,
     sole_variable,
@@ -106,12 +105,6 @@ class FactoredRatFunc:
     def denominator(self):
         roots = [b for b, m in self.poles for _ in range(m)]
         return UniPoly.from_roots(roots, self.leading.field)
-
-    def as_diffratfunc(self, base, varname="y"):
-        variables = (varname,)
-        num = from_unipoly(self.numerator(), base, variables, varname)
-        den = from_unipoly(self.denominator(), base, variables, varname)
-        return DiffRatFunc(num, den)
 
 
 @dataclass(frozen=True)

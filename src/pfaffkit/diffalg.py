@@ -935,14 +935,6 @@ class DiffIndeterminateExpr:
                 top = max(top, len(e) - 1)
         return top
 
-    def coefficient_of_top(self):
-        """Coefficient of the monomial u^(order) alone."""
-        n = self.order()
-        if n < 0:
-            return self.base.zero()
-        key = (0,) * n + (1,)
-        return self.terms.get(key, self.base.zero())
-
     def is_zero(self):
         return not self.terms
 

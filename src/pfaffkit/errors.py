@@ -109,3 +109,7 @@ class ZeroDenominatorData(PfaffkitError):
 
 class InvalidFactoredForm(PfaffkitError):
     pass
+
+
+class NoLinearFactorization(PfaffkitError):
+    """A function does not split into linear factors over its declared field."""

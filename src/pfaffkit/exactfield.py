@@ -14,19 +14,16 @@ defining polynomial and invert by fraction-free elimination.
 
 A polynomial (``UniPoly``) is stored the same way one level up: d ints
 per coefficient over one common denominator, so its ring arithmetic runs
-on ints for every field.  Over Q, division and the gcd run on the ints
-too, written once for integer lists: pseudo-division (``_int_divmod``)
-and the primitive remainder sequence (``_int_gcd``), which rational-root
-finding also uses.  Elsewhere each loop is written once, on lists of
-coefficients: long division with ``*``, ``-`` and the inverse of the
-leading coefficient (``dense_divmod``), for ``UniPoly`` over Q(theta) and
-for the reduction of scalars by their defining polynomial; and the
+on ints for every field.  Division is written once, on those ints:
+pseudo-division (``_int_divmod``) for ``UniPoly`` over Q and Q(theta),
+for the reduction of scalars by their defining polynomial, and for
+rational-root finding.  The gcd over Q is the primitive remainder
+sequence on the ints (``_int_gcd``).  Every other gcd runs the
 subresultant remainder sequence with an exact quotient
 (``subresultant_gcd``), with exact division beside it
-(``dense_exact_quotient``), for every gcd whose coefficients are not plain
-ints: scalars of Q(theta), and the ``UniPoly`` coefficients in t of a
-differential rational function over K(t) once its t-denominators are
-cleared.
+(``dense_exact_quotient``), on lists of coefficients: scalars of
+Q(theta), and the ``UniPoly`` coefficients in t of a differential
+rational function over K(t) once its t-denominators are cleared.
 
 Every ring in the package shares ``power``, the one square-and-multiply
 loop, and the printer: ``signed_sum`` joins signed terms,
@@ -58,36 +55,10 @@ from .errors import (
 )
 
 _Q0 = Fraction(0)
-_Q1 = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
 # dense coefficient lists, lowest degree first
-
-def dense_divmod(a, b, inv_lead):
-    """Schoolbook long division of coefficient list ``a`` by ``b``.
-
-    This is the one division loop for coefficients other than plain ints
-    (``_int_divmod`` divides those).  The caller passes ``inv_lead``, the
-    inverse of ``b[-1]``, so the coefficients need only ``*`` and ``-``:
-    Fractions, scalars and rational functions of K(t) all serve.  Returns the
-    quotient and the remainder untrimmed, ``len(a) - len(b) + 1`` and
-    ``len(b) - 1`` entries long (no quotient and all of ``a`` when ``a``
-    is shorter than ``b``); each caller trims them with its own zero test.
-    """
-    m = len(b) - 1
-    n = len(a) - 1 - m
-    if n < 0:
-        return [], list(a)
-    # rem[k + m] is the leading coefficient left when quotient term k is taken
-    rem = list(a)
-    quo = [None] * (n + 1)
-    for k in range(n, -1, -1):
-        f = quo[k] = rem[k + m] * inv_lead
-        for i in range(m):
-            rem[k + i] = rem[k + i] - f * b[i]
-    return quo, rem[:m]
-
 
 def _trim(cs):
     while cs and cs[-1].is_zero():
@@ -330,42 +301,63 @@ def _primitive_part(cs):
     return cs if g == 1 else [c // g for c in cs]
 
 
-def _int_divmod(a, b):
-    """Pseudo-division of integer lists: ``(scale, quo, rem)`` with
-    ``scale*a == quo*b + rem``, ``scale > 0`` and ``len(rem) == len(b) - 1``.
+def _int_divmod(a, b, field=None):
+    """Pseudo-division of flat integer lists, ``d`` ints per coefficient
+    (``d`` the degree of ``field``, 1 over Q): ``(scale, quo, rem)`` with
+    ``scale*a == quo*b + rem``, ``scale > 0`` and ``len(rem) == len(b) - d``.
 
-    ``b[-1]`` must be nonzero.  Each step scales by the part of ``b[-1]``
-    that the current leading term does not share, so a division by a
-    polynomial with leading coefficient 1, or an exact division whose
-    quotient is integral, never scales.
+    The leading coefficient of ``b`` must be a nonzero rational, ``beta``.
+    Each step scales by the part of ``beta`` that the current leading
+    coefficient does not share, so a division by a polynomial with leading
+    coefficient 1, or an exact division whose quotient is integral, never
+    scales (Knuth's Algorithm R, TAOCP 4.6.1).  Over Q(theta) the
+    products with ``b`` run through ``_block_mul``, whose scale
+    ``minpoly_den^(d-1)`` multiplies ``scale`` too when it is not 1.
     """
-    m = len(b) - 1
-    n = len(a) - 1 - m
-    beta = b[-1]
+    d = _dim(field)
+    n = (len(a) - len(b)) // d
+    beta = b[-d]
     if n < 0:
         return 1, [], list(a)
-    if m == 0:
+    if len(b) == d:
         return abs(beta), (list(a) if beta > 0 else [-c for c in a]), []
-    low = b[:-1]
+    low = b[:-d]
     rem = list(a)
-    quo = [0] * (n + 1)
+    quo = [0] * ((n + 1) * d)
     scale = 1
     for k in range(n, -1, -1):
-        top = rem.pop()
-        if not top:
-            continue
-        g = gcd(top, beta)
+        if d == 1:
+            top = rem.pop()
+            if not top:
+                continue
+            g = gcd(top, beta)
+        else:
+            top = rem[-d:]
+            del rem[-d:]
+            if not any(top):
+                continue
+            g = gcd(beta, *top)
         if beta < 0:
             g = -g
-        u, v = beta // g, top // g
+        u = beta // g
         if u != 1:
             scale *= u
             rem = [u * c for c in rem]
-            for i in range(k + 1, n + 1):
+            for i in range((k + 1) * d, len(quo)):
                 quo[i] *= u
-        quo[k] = v
-        for i, c in enumerate(low, k):
-            rem[i] -= v * c
+        if d == 1:
+            v = quo[k] = top // g
+            for i, c in enumerate(low, k):
+                rem[i] -= v * c
+            continue
+        quo[k * d:(k + 1) * d] = v = [c // g for c in top]
+        prod, s = _block_mul(v, low, field)
+        if s != 1:
+            scale *= s
+            rem = [s * c for c in rem]
+            quo = [s * c for c in quo]
+        for i, c in enumerate(prod, k * d):
+            rem[i] -= c
     return scale, quo, rem
 
 
@@ -530,12 +522,13 @@ class NumberField:
         return AlgebraicScalar(self, tuple(nums), 1)
 
     def scalar(self, *coords):
-        """Scalar with the given coordinates (padded with zeros)."""
-        cs = [Fraction(c) for c in coords]
-        if len(cs) > self.degree:
-            cs = _reduce_mod(cs, self.minpoly)
-        cs = cs + [_Q0] * (self.degree - len(cs))
-        return AlgebraicScalar(self, *_over_common_denominator(cs))
+        """Scalar with the given coordinates (padded with zeros), reduced by the defining polynomial."""
+        nums, den = _over_common_denominator([Fraction(c) for c in coords])
+        d = self.degree
+        if len(nums) <= d:
+            return AlgebraicScalar(self, nums + (0,) * (d - len(nums)), den)
+        scale, _, rem = _int_divmod(nums, self.minpoly_nums + (self.minpoly_den,))
+        return _canonical(self, tuple(rem), scale * den)
 
     def zero(self):
         return self.scalar()
@@ -552,11 +545,6 @@ class NumberField:
     def __repr__(self):
         nums = self.minpoly_nums + (self.minpoly_den,)  # monic: den/den leads
         return f"NumberField({_coords_str(nums, self.minpoly_den, self.name)})"
-
-
-def _reduce_mod(cs, minpoly):
-    # minpoly is monic, so the inverse of its leading coefficient is 1
-    return dense_divmod(cs, minpoly, _Q1)[1]
 
 
 def nf_new(minpoly, name="r"):
@@ -951,10 +939,11 @@ class UniPoly:
 
     ``+``, ``-``, ``*``, ``derivative`` and ``monic`` work on the ints for
     every field; a product over Q(theta) reduces the powers of theta once
-    per output coefficient.  Over Q, division and ``poly_gcd`` work on the
-    ints as well; over Q(theta) they run ``dense_divmod`` and
-    ``subresultant_gcd`` on ``coeffs``.  Values are never mutated after
-    construction.
+    per output coefficient.  Division works on the ints as well
+    (``_int_divmod``), after an irrational leading coefficient of the
+    divisor is made 1.  ``poly_gcd`` works on the ints over Q and runs
+    ``subresultant_gcd`` on ``coeffs`` over Q(theta).  Values are never
+    mutated after construction.
     """
 
     __slots__ = ("field", "nums", "den")
@@ -1109,15 +1098,20 @@ class UniPoly:
             return NotImplemented
         if b.is_zero():
             raise DivisionByZeroPolynomial("polynomial division by zero")
-        if a.field is not None:
-            quo, rem = dense_divmod(a.coeffs, b.coeffs, b.leading().inverse())
-            return UniPoly(a.field, quo), UniPoly(a.field, rem)
+        field = a.field
+        # an irrational leading coefficient is made 1, and the quotient by
+        # the monic divisor is scaled back by the same inverse
+        inv = None
+        if any(b.nums[len(b.nums) - _dim(field) + 1:]):
+            inv = UniPoly(field, (b.leading().inverse(),))
+            b = _poly_mul(b, inv)
         # a/da = (quo*db / (scale*da)) * (b/db) + rem / (scale*da)
-        scale, quo, rem = _int_divmod(a.nums, b.nums)
+        scale, quo, rem = _int_divmod(a.nums, b.nums, field)
         den, db = scale * a.den, b.den
         if db != 1:
             quo = [q * db for q in quo]
-        return _poly(None, quo, den), _poly(None, rem, den)
+        quo = _poly(field, quo, den)
+        return quo if inv is None else _poly_mul(quo, inv), _poly(field, rem, den)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -1131,12 +1125,6 @@ class UniPoly:
         if not rem.is_zero():
             raise InternalInvariant("an exact polynomial division left a remainder")
         return quo
-
-    def divides(self, other):
-        """True when self divides ``other`` exactly."""
-        if self.is_zero():
-            return other.is_zero()
-        return (other % self).is_zero()
 
     def derivative(self):
         d = _dim(self.field)

@@ -251,10 +251,6 @@ class ThreeValued:
     def is_no(self):
         return self.value == "no"
 
-    @property
-    def is_definite(self):
-        return self.value != "unknown"
-
     def __str__(self):
         return self.value
 

@@ -425,11 +425,6 @@ def eval_linear(node, ctx, yname="y"):
     return _eval_indeterminate(node, ctx.base, yname, ctx.gen_name, linear=True)
 
 
-def eval_uexpr(node, base):
-    """Evaluate an AST as an expression in u, u', u'', ... over the base."""
-    return _eval_indeterminate(node, base, "u")
-
-
 def _eval_indeterminate(node, base, name, gen_name=None, linear=False):
     """A DiffIndeterminateExpr whose slot k stands for ``name`` with k primes.
 

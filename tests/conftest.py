@@ -5,7 +5,7 @@ import pytest
 
 import pfaffkit as pk
 from pfaffkit.criteria import FactoredRatFunc
-from pfaffkit.diffalg import DiffPoly
+from pfaffkit.diffalg import DiffPoly, DiffRatFunc, from_unipoly
 
 
 @pytest.fixture(scope="session")
@@ -16,6 +16,19 @@ def sqrt2():
 @pytest.fixture(scope="session")
 def cbrt2():
     return pk.nf_new([-2, 0, 0, 1], name="c")
+
+
+def as_diffratfunc(fr, base, varname="y"):
+    """A factored f as a differential fraction in ``varname`` over ``base``."""
+    variables = (varname,)
+    num = from_unipoly(fr.numerator(), base, variables, varname)
+    den = from_unipoly(fr.denominator(), base, variables, varname)
+    return DiffRatFunc(num, den)
+
+
+def is_definite(verdict):
+    """True for a yes or a no, False for unknown."""
+    return verdict.value != "unknown"
 
 
 def rand_fraction(rng, span=6, nonzero=False):

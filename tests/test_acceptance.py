@@ -47,7 +47,14 @@ from pfaffkit.groups import (
 )
 from pfaffkit.parser import parse_fixture_text, parse_ode_text
 
-from conftest import RULE_FIELDS, rand_fraction, rand_one_pole, rand_scalar
+from conftest import (
+    RULE_FIELDS,
+    as_diffratfunc,
+    is_definite,
+    rand_fraction,
+    rand_one_pole,
+    rand_scalar,
+)
 from test_criteria import partial_fraction_oracle
 from test_diffalg import riccati_oracle
 
@@ -130,7 +137,7 @@ def test_criterion_3_theorem_family_batch():
             continue
         fr = FactoredRatFunc(leading=one, zeros=((a, 1), (b, 1)),
                              poles=((zero, 1), (one, 1)))
-        verdict = classify_order_one(fr.as_diffratfunc(base), factored=fr)
+        verdict = classify_order_one(as_diffratfunc(fr, base), factored=fr)
         assert verdict.rationally_pfaffian.is_yes
         assert verdict.pfaffian.value in ("no", "unknown", "yes")
         if verdict.pfaffian.is_no:
@@ -201,7 +208,7 @@ def test_criterion_5_eulerian_iff_2_solvable_exhaustive():
     def agree(g):
         e = check_series(g, EULERIAN)
         s = check_series(g, dsolv2)
-        if e.is_definite and s.is_definite:
+        if is_definite(e) and is_definite(s):
             assert e.value == s.value, f"mismatch at {g}: {e.value} vs {s.value}"
         if e.is_yes:
             assert check_series(g, ONE_REDUCIBLE_INTERNAL).is_yes, g
@@ -342,9 +349,9 @@ def test_criterion_10_consistency_guard():
     for f in corpus:
         refuted = not_pfaffian_by_degree_theorem(f).is_no
         base = BaseDiffField.constants(f.leading.field)
-        cert = search_presentation(f.as_diffratfunc(base), degree_bound=3)
+        cert = search_presentation(as_diffratfunc(f, base), degree_bound=3)
         if cert is not None:
-            assert verify_forward(cert.chain, cert.element, f.as_diffratfunc(base)).ok
+            assert verify_forward(cert.chain, cert.element, as_diffratfunc(f, base)).ok
         if refuted and cert is not None:
             contradictions += 1
     assert contradictions == 0

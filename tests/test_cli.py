@@ -17,10 +17,10 @@ from pfaffkit.parser import (
     EvalContext,
     Num,
     ParseError,
+    _eval_indeterminate,
     _fold,
     _ring_combine,
     eval_ratfunc,
-    eval_uexpr,
     parse_expression_text,
     parse_field_decl_text,
     parse_fixture_text,
@@ -33,6 +33,11 @@ LAMBERT = "tests/fixtures/lambert_backward.pfaff"
 SQRT_FWD = "tests/fixtures/sqrt_shift_forward.pfaff"
 UNDEFINED_BWD = "tests/fixtures/undefined_rule_backward.pfaff"
 NOETHERIAN_BWD = "tests/fixtures/noetherian_backward.pfaff"
+
+
+def eval_uexpr(node, base):
+    """Evaluate an AST as an expression in u, u', u'', ... over the base."""
+    return _eval_indeterminate(node, base, "u")
 
 
 def invoke(*argv):
@@ -456,6 +461,22 @@ class TestCommands:
     def test_residues_unfactorable_is_validation_error(self):
         doc, code = invoke("residues", "(y^2-2)/(y*(y-1))")
         assert code == 1 and "error" in doc
+
+    @pytest.mark.parametrize("function", [
+        "(y^2-2)/(y*(y-1))",
+        "y/(y^2+1)",
+        # the cubic splits over this cyclic field, but none of its roots is
+        # rational, and irrational roots are found only in a quadratic tail
+        "(y^3-3*y+1)/(y*(y-1)) over Q(r: r^3-3*r+1)",
+    ])
+    def test_residues_without_a_linear_factorization_name_their_kind(self, function):
+        doc, code = run(["residues", function])
+        assert code == 1
+        assert doc["error"] == {
+            "kind": "NoLinearFactorization",
+            "message": "no full linear factorization over the declared field; supply the "
+                       "function as a product of linear factors",
+        }
 
     @pytest.mark.parametrize("function", ["0", "0*(y-1)/y", "0 over Q(r: r^2-2)"])
     def test_residues_of_zero_is_a_division_by_zero(self, function):

@@ -20,8 +20,6 @@ from pfaffkit.exactfield import (
     UniPoly,
     _integer_roots,
     _rational_roots,
-    _reduce_mod,
-    dense_divmod,
     dense_exact_quotient,
     extract_linear_roots,
     homogenized_pair,
@@ -230,10 +228,28 @@ class TestLongDivision:
             assert a // b == q and a % b == r
 
 
-# Test-only copies of the loops that dense_divmod and subresultant_gcd
-# replaced: the Fraction-list division, gcd and reduction of scalars, and
-# the Euclidean gcd and exact division of univariate differential rational
-# functions.
+# Test-only copies of the loops that the integer division and
+# subresultant_gcd replaced: the long division on lists of scalars, the
+# Fraction-list division, gcd and reduction of scalars, and the Euclidean
+# gcd and exact division of univariate differential rational functions.
+
+def ref_dense_divmod(a, b, inv_lead):
+    """Schoolbook long division of coefficient list ``a`` by ``b``, given
+    ``inv_lead``, the inverse of ``b[-1]``; the quotient and the remainder
+    untrimmed, ``len(a) - len(b) + 1`` and ``len(b) - 1`` entries long."""
+    m = len(b) - 1
+    n = len(a) - 1 - m
+    if n < 0:
+        return [], list(a)
+    # rem[k + m] is the leading coefficient left when quotient term k is taken
+    rem = list(a)
+    quo = [None] * (n + 1)
+    for k in range(n, -1, -1):
+        f = quo[k] = rem[k + m] * inv_lead
+        for i in range(m):
+            rem[k + i] = rem[k + i] - f * b[i]
+    return quo, rem[:m]
+
 
 def ref_qdivmod(a, b):
     """Fraction-list long division that trims the remainder after each step."""
@@ -365,13 +381,13 @@ def monic_gcd(a, b):
 
 
 class TestDenseKernel:
-    """dense_divmod and subresultant_gcd against the loops they replaced."""
+    """UniPoly division and subresultant_gcd against the loops they replaced."""
 
-    def check_division(self, a, b, inv):
-        q, r = dense_divmod(a, b, inv(b[-1]))
-        q, r = trimmed(q), trimmed(r)
+    def check_division(self, field, a, b):
+        q, r = (trimmed(x) for x in ref_dense_divmod(a, b, 1 / b[-1]))
         assert list_add(list_mul(q, b), r) == trimmed(a)
         assert len(r) < len(b)
+        assert divmod(UniPoly(field, a), UniPoly(field, b)) == (UniPoly(field, q), UniPoly(field, r))
         return q, r
 
     def check_gcd(self, a, b, common):
@@ -380,10 +396,10 @@ class TestDenseKernel:
         assert monic_gcd(a + [common[0] - common[0]], b) == g  # zero leading entry
         if g:
             assert g[-1] == 1
-            assert not trimmed(dense_divmod(a, g, g[-1])[1])
-            assert not trimmed(dense_divmod(b, g, g[-1])[1])
+            assert not trimmed(ref_dense_divmod(a, g, g[-1])[1])
+            assert not trimmed(ref_dense_divmod(b, g, g[-1])[1])
             # the common factor divides the gcd
-            assert not trimmed(dense_divmod(g, common, common[-1].inverse())[1])
+            assert not trimmed(ref_dense_divmod(g, common, common[-1].inverse())[1])
         return g
 
     def pairs(self, rng, make, count, max_deg):
@@ -399,7 +415,7 @@ class TestDenseKernel:
         rng = random.Random(311)
         q = pk.AlgebraicScalar.rational
         for a, b, common in self.pairs(rng, lambda r: rand_fraction(r, 5), 200, 4):
-            quo, rem = self.check_division(a, b, lambda c: 1 / c)
+            quo, rem = self.check_division(None, a, b)
             assert (quo, rem) == ref_qdivmod(a, b)
             g = self.check_gcd([q(c) for c in a], [q(c) for c in b], [q(c) for c in common])
             assert [c.coords[0] for c in g] == ref_qgcd(a, b)
@@ -408,7 +424,7 @@ class TestDenseKernel:
         rng = random.Random(312)
         pairs = self.pairs(rng, lambda r: rand_scalar(r, sqrt2, 4), 120, 3)
         for a, b, common in pairs:
-            quo, rem = self.check_division(a, b, lambda c: c.inverse())
+            quo, rem = self.check_division(sqrt2, a, b)
             assert rem == ref_dmod(a, b)
             assert (UniPoly(sqrt2, quo), UniPoly(sqrt2, rem)) == reference_divmod(
                 UniPoly(sqrt2, a), UniPoly(sqrt2, b))
@@ -418,9 +434,6 @@ class TestDenseKernel:
     def test_over_kt_against_reference_loops(self):
         rng = random.Random(313)
         for a, b, common in self.pairs(rng, rand_ratfunc, 15, 2):
-            quo, rem = self.check_division(a, b, lambda c: c.inverse())
-            assert rem == ref_dmod(a, b)
-            assert quo == trimmed(ref_exact_div(list_mul(quo, b), b))
             self.check_gcd(a, b, common)
 
     def test_scalar_reduction_against_fraction_loop(self, sqrt2, cbrt2):
@@ -428,7 +441,9 @@ class TestDenseKernel:
         for field in (sqrt2, cbrt2):
             for _ in range(200):
                 cs = [rand_fraction(rng, 9) for _ in range(rng.randint(0, 2 * field.degree))]
-                assert _reduce_mod(cs, field.minpoly) == ref_reduce_mod(cs, field.minpoly)
+                got = field.scalar(*cs)
+                check_canonical(got, field)
+                assert got.coords == tuple(padded(field, ref_reduce_mod(cs, field.minpoly)))
 
 
 # Test-only copies of the Fraction-coordinate scalar arithmetic that the
@@ -453,7 +468,7 @@ def padded(field, cs):
 def ref_mul(field, a, b):
     if field is None:
         return [a[0] * b[0]]
-    return padded(field, _reduce_mod(list_mul(list(a), list(b)), field.minpoly))
+    return padded(field, ref_reduce_mod(list_mul(list(a), list(b)), field.minpoly))
 
 
 def ref_add(a, b):
@@ -466,7 +481,7 @@ def ref_inverse(field, a):
     g, u = ref_qxgcd(a, field.minpoly)
     if len(g) != 1:
         raise ReduciblePolynomial("zero divisor")
-    return padded(field, _reduce_mod([c / g[0] for c in u], field.minpoly))
+    return padded(field, ref_reduce_mod([c / g[0] for c in u], field.minpoly))
 
 
 def check_canonical(s, field):
@@ -753,7 +768,7 @@ def ref_poly_mul(field, a, b):
 
 
 def ref_poly_divmod(a, b):
-    quo, rem = dense_divmod(a, b, b[-1].inverse())
+    quo, rem = ref_dense_divmod(a, b, b[-1].inverse())
     return trimmed(quo), trimmed(rem)
 
 
@@ -987,6 +1002,48 @@ def poly_triples(n=3):
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
+DIVISION_FIELDS = {
+    "Q": None,
+    "Q(sqrt2)": INTEGER_FIELDS["Q(sqrt2)"],
+    "Q(cbrt2)": INTEGER_FIELDS["Q(cbrt2)"],
+    # s^4 - s/2 - 1 is 2s^4 - s - 2 over 2, so every theta-reduction of a
+    # product scales by 2
+    "Q(s^4-s/2-1)": pk.nf_new([-1, Fraction(-1, 2), 0, 0, 1], name="s"),
+}
+
+RATIOS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def division_cases(draw):
+    """``(a, b)`` over one field, ``b`` nonzero with a leading coefficient
+    that is rational or, over Q(theta), irrational, as drawn."""
+    field = DIVISION_FIELDS[draw(st.sampled_from(sorted(DIVISION_FIELDS)))]
+    d = field.degree if field else 1
+    lead = [draw(RATIOS.filter(bool))] + [0] * (d - 1)
+    if d > 1 and draw(st.booleans()):
+        lead[draw(st.integers(1, d - 1))] = draw(RATIOS.filter(bool))
+        lead[0] = draw(RATIOS)
+    lead = AlgebraicScalar.rational(lead[0]) if field is None else field.scalar(*lead)
+    low = draw(unipolys(field, 3))
+    x = UniPoly.x(field)
+    b = low + x ** (low.degree + 1 + draw(st.integers(0, 2))) * lead
+    return draw(unipolys(field, 7)), b
+
+
+@st.composite
+def scalar_coordinates(draw):
+    """``(field, cs)``: a number field and up to twice its degree in rational coordinates."""
+    field = DIVISION_FIELDS[draw(st.sampled_from(sorted(k for k in DIVISION_FIELDS if k != "Q")))]
+    return field, draw(st.lists(RATIOS, max_size=2 * field.degree))
+
+
+def divides(p, q):
+    """True when ``p`` divides ``q`` exactly."""
+    if p.is_zero():
+        return q.is_zero()
+    return (q % p).is_zero()
+
 
 class TestUniPolyProperties:
     @PROPERTY_SETTINGS
@@ -1018,9 +1075,30 @@ class TestUniPolyProperties:
         assume(not (a.is_zero() and b.is_zero()))
         g = pk.poly_gcd(a, b)
         assert g.leading() == 1
-        assert g.divides(a) and g.divides(b)
+        assert divides(g, a) and divides(g, b)
         if not c.is_zero():
-            assert c.divides(g)
+            assert divides(c, g)
+
+    @PROPERTY_SETTINGS
+    @given(division_cases())
+    def test_divmod_matches_the_scalar_loop(self, ab):
+        a, b = ab
+        q, r = divmod(a, b)
+        for p in (q, r):
+            check_canonical_poly(p, a.field)
+        want_q, want_r = ref_dense_divmod(list(a.coeffs), list(b.coeffs), b.leading().inverse())
+        assert (list(q.coeffs), list(r.coeffs)) == (trimmed(want_q), trimmed(want_r))
+        assert q * b + r == a
+        assert r.degree < b.degree
+        assert (a * b) // b == a
+
+    @PROPERTY_SETTINGS
+    @given(scalar_coordinates())
+    def test_scalar_reduces_like_the_fraction_loop(self, case):
+        field, cs = case
+        got = field.scalar(*cs)
+        check_canonical(got, field)
+        assert got.coords == tuple(padded(field, ref_reduce_mod(cs, field.minpoly)))
 
 
 KERNEL_DOMAINS = ("Q", "Q(sqrt2)", "Q(cbrt2)", "Q[t]", "Q(sqrt2)[t]")
